@@ -401,7 +401,6 @@ func (a *Auditor) solveOn(ctx context.Context, in *Instance, thresholds Threshol
 			Epsilon:         cfg.Epsilon,
 			Inner:           inner,
 			EvaluateInitial: true,
-			Memoize:         true,
 			MaxSubset:       cfg.MaxSubset,
 			Workers:         workers,
 		})

@@ -529,7 +529,7 @@ func BenchmarkAblationThresholdQuantization(b *testing.B) {
 				in := synAInstance(b, 6, src)
 				res, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
 					Epsilon: 0.25, Inner: solver.ExactInner,
-					EvaluateInitial: true, Memoize: true, NoQuantize: noQuant,
+					EvaluateInitial: true, NoQuantize: noQuant,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -557,7 +557,7 @@ func BenchmarkAblationThresholdSearch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			in := synAInstance(b, 6, src)
 			res, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
-				Epsilon: 0.2, Inner: solver.ExactInner, EvaluateInitial: true, Memoize: true,
+				Epsilon: 0.2, Inner: solver.ExactInner, EvaluateInitial: true,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -828,30 +828,11 @@ func BenchmarkPalEvaluation(b *testing.B) {
 	base := game.Thresholds{3, 3, 3, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A strictly increasing threshold defeats the cache, so every
-		// iteration pays the full expectation over the joint support.
+		// A strictly increasing threshold keeps the kernel's per-threshold
+		// spent-column cache cold, so every iteration pays the full
+		// expectation over the joint support.
 		thr := base.Clone()
 		thr[0] = 3 + float64(i)*1e-9
-		in.Pal(o, thr)
-	}
-}
-
-// BenchmarkPalCacheHit measures the cached lookup path of Pal — the case
-// every solver hits most. The contract is zero allocations: interned key
-// hashing happens on the stack and the cached slice is returned directly.
-func BenchmarkPalCacheHit(b *testing.B) {
-	g := game.SynA()
-	src, err := sample.NewEnumerator(g.Dists(), sample.DefaultEnumerationLimit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := synAInstance(b, 10, src)
-	o := game.Ordering{0, 1, 2, 3}
-	thr := game.Thresholds{3, 3, 3, 3}
-	in.Pal(o, thr) // populate
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
 		in.Pal(o, thr)
 	}
 }
@@ -870,8 +851,9 @@ func BenchmarkPalBatch(b *testing.B) {
 	base := game.Thresholds{3, 3, 3, 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A strictly increasing threshold defeats the cache, so every
-		// iteration evaluates all 24 orderings from scratch.
+		// A strictly increasing threshold keeps the kernel's per-threshold
+		// spent-column cache cold, so every iteration evaluates all 24
+		// orderings from scratch.
 		thr := base.Clone()
 		thr[0] = 3 + float64(i)*1e-9
 		in.PalBatch(all, thr)
@@ -889,10 +871,10 @@ func BenchmarkRestrictedLP(b *testing.B) {
 	in := synAInstance(b, 10, src)
 	all := game.AllOrderings(4)
 	thr := game.Thresholds{3, 3, 3, 3}
-	in.Pal(all[0], thr) // warm the Pal cache
+	pals := in.PalBatch(all, thr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := in.SolveFixed(all, thr); err != nil {
+		if _, err := in.SolveMaster(all, pals, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

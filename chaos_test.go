@@ -344,3 +344,111 @@ func TestChaosHammer(t *testing.T) {
 		t.Fatalf("post-chaos control solve loss %.12f != golden %.12f", control, golden)
 	}
 }
+
+// gateGame is refitGame with a third alert type, so a policy can mix
+// over orderings a column-generation refit never evaluates.
+func gateGame() *auditgame.Game {
+	g := refitGame()
+	g.Victims = append(g.Victims, "db-c")
+	g.Types = append(g.Types, auditgame.AlertType{
+		Name: "bulk-read",
+		Cost: 1,
+		Dist: auditgame.GaussianCounts(4, 1.3, 0.995),
+	})
+	attacks := make([]auditgame.Attack, 3)
+	for t, benefit := range []float64{6, 8, 7} {
+		attacks[t] = auditgame.DeterministicAttack(3, t, benefit, 10, 1)
+	}
+	g.Attacks = [][]auditgame.Attack{attacks}
+	return g
+}
+
+// gateAuditor is a solved column-generation session on gateGame whose
+// tracker has fired, serving an incumbent loaded by hand: uniform over
+// all six orderings, most of which the refit's solve never prices.
+func gateAuditor(t *testing.T) *auditgame.Auditor {
+	t.Helper()
+	thresholds := auditgame.Thresholds{3, 3, 3}
+	a, err := auditgame.NewAuditor(auditgame.AuditorConfig{
+		Game:       gateGame(),
+		Budget:     4,
+		Method:     auditgame.MethodCGGS,
+		Source:     auditgame.SourceOptions{Seed: 1},
+		Thresholds: thresholds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Solve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := auditgame.NewTracker(3, auditgame.TrackerConfig{Window: 10, MinInterval: -1, Cooldown: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AttachTracker(tr, auditgame.RefitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !driftUntilFire(t, a, []float64{9, 3, 8}, 60, 5) {
+		t.Fatal("drift never fired")
+	}
+	inc := &auditgame.Policy{
+		Budget:     4,
+		TypeNames:  []string{"exfil", "escalate", "bulk-read"},
+		Costs:      []float64{1, 1, 1},
+		Thresholds: thresholds,
+	}
+	for _, o := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		inc.Orderings = append(inc.Orderings, o)
+		inc.Probs = append(inc.Probs, 1.0/6)
+	}
+	if err := a.SetPolicy(inc); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestRefitGatePalFaultContained pins containment of the refit gate: a
+// pal-kernel panic while the gate scores the incumbent must come back
+// from Refit as a typed panic-kind *SolveError, with the incumbent
+// still installed and serving, rather than escape and kill the process.
+func TestRefitGatePalFaultContained(t *testing.T) {
+	// Count the pal-worker hits of one refit on a twin session, under a
+	// rule that never fires; the last of them is the gate's evaluation
+	// of the incumbent's columns.
+	twin := gateAuditor(t)
+	fault.Enable(fault.Plan{Rules: []fault.Rule{{Point: fault.PalWorker, Mode: fault.ModePanic, Prob: 0}}})
+	_, err := twin.Refit(context.Background())
+	hits := fault.Snapshot()[fault.PalWorker].Hits
+	fault.Disable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits == 0 {
+		t.Fatal("refit made no pal-kernel call")
+	}
+
+	a := gateAuditor(t)
+	version := a.PolicyVersion()
+	fault.Enable(fault.Plan{Rules: []fault.Rule{
+		{Point: fault.PalWorker, Mode: fault.ModePanic, Prob: 1, After: hits - 1, MaxFires: 1},
+	}})
+	defer fault.Disable()
+	out, err := a.Refit(context.Background())
+	var se *auditgame.SolveError
+	if !errors.As(err, &se) || se.Kind != auditgame.FailPanic {
+		t.Fatalf("Refit with a pal panic in the gate = (%+v, %v), want a panic-kind *SolveError", out, err)
+	}
+	if se.Op != "policy.loss" {
+		t.Fatalf("panic contained by %q, want the gate's policy.loss guard: %v", se.Op, err)
+	}
+	if s := fault.Snapshot()[fault.PalWorker]; s.Fires != 1 || s.Hits != hits {
+		t.Fatalf("pal-worker point: %d hits / %d fires, want %d / 1", s.Hits, s.Fires, hits)
+	}
+	if v := a.PolicyVersion(); v != version {
+		t.Fatalf("failed gate moved the policy from version %d to %d", version, v)
+	}
+	if _, err := a.Select([]int{5, 3, 4}); err != nil {
+		t.Fatalf("Select after a contained gate failure: %v", err)
+	}
+}

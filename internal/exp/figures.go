@@ -123,7 +123,6 @@ func figure(g *game.Game, budgets []float64, opt FigOptions) (*FigureResult, err
 				Epsilon:         eps,
 				Inner:           solver.CGGSInner,
 				EvaluateInitial: true,
-				Memoize:         true,
 				MaxSubset:       opt.MaxSubset,
 				Workers:         runtime.GOMAXPROCS(0),
 			})

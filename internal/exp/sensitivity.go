@@ -101,7 +101,7 @@ func Sensitivity(cfg SensitivityConfig) ([]SensitivityRow, error) {
 			}
 			ishm, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
 				Epsilon: cfg.Epsilon, Inner: solver.ExactInner,
-				EvaluateInitial: true, Memoize: true,
+				EvaluateInitial: true,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("exp: sensitivity M=%v pe=%v: %w", penalty, pa, err)
@@ -154,7 +154,7 @@ func QuantalRobustness(budget float64, lambdas []float64) ([]QuantalRow, error) 
 		return nil, err
 	}
 	ishm, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
-		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true, Memoize: true,
+		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true,
 	})
 	if err != nil {
 		return nil, err
@@ -205,7 +205,7 @@ func WorkloadShift(budget float64, scales []float64) ([]WorkloadShiftRow, error)
 		return nil, err
 	}
 	orig, err := solver.ISHM(context.Background(), base, solver.ISHMOptions{
-		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true, Memoize: true,
+		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true,
 	})
 	if err != nil {
 		return nil, err
@@ -232,7 +232,7 @@ func WorkloadShift(budget float64, scales []float64) ([]WorkloadShiftRow, error)
 			return nil, err
 		}
 		refit, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
-			Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true, Memoize: true,
+			Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true,
 		})
 		if err != nil {
 			return nil, err

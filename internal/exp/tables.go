@@ -127,7 +127,6 @@ func ishmGrid(budgets, epsilons []float64, inner solver.Inner) (*GridResult, err
 				Epsilon:         eps,
 				Inner:           inner,
 				EvaluateInitial: true,
-				Memoize:         true,
 				Workers:         runtime.GOMAXPROCS(0),
 			})
 			if err != nil {

@@ -56,7 +56,7 @@ func Validate(cfg ValidateConfig) ([]ValidationRow, error) {
 	}
 	g := in.G
 	res, err := solver.ISHM(context.Background(), in, solver.ISHMOptions{
-		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true, Memoize: true,
+		Epsilon: 0.1, Inner: solver.ExactInner, EvaluateInitial: true,
 	})
 	if err != nil {
 		return nil, err

@@ -70,9 +70,10 @@ func (s signature) ua(pal []float64) float64 {
 	return s.base + s.delta*pat
 }
 
-// Instance binds a Game to an audit budget and a realization source, adds
-// per-entity signature deduplication, and caches detection probabilities.
-// It is the evaluation engine every solver runs on.
+// Instance binds a Game to an audit budget and a realization source and
+// adds per-entity signature deduplication. It is the evaluation engine
+// every solver runs on, safe for concurrent use; it holds no
+// detection-probability results (callers keep the vectors they reuse).
 type Instance struct {
 	G      *Game
 	Budget float64
@@ -113,14 +114,8 @@ type Instance struct {
 	// see getTrieScratch (trie.go).
 	scratch sync.Pool
 
-	// Detection-probability engine state (engine.go): interned ordering
-	// and threshold IDs plus a sharded result cache, so concurrent
-	// solvers (parallel ISHM combos, experiment sweeps sharing an
-	// instance) hit neither a global lock nor the allocator.
-	orderings  orderingInterner
-	thresholds thresholdInterner
-	palShards  [palShardCount]palShard
-	palEvals   atomic.Int64
+	// palEvals counts orderings evaluated by the kernel (engine.go).
+	palEvals atomic.Int64
 }
 
 type entityClass struct {
@@ -218,13 +213,21 @@ func (s *sigSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
+// sigKey renders a signature as its canonical class key: base, delta and
+// the type probabilities, each formatted like %.12g. It runs once per
+// attack at instance build, so it appends into one stack buffer and
+// allocates only the returned string.
 func sigKey(s signature) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%.12g|%.12g|", s.base, s.delta)
+	var stack [256]byte
+	buf := strconv.AppendFloat(stack[:0], s.base, 'g', 12, 64)
+	buf = append(buf, '|')
+	buf = strconv.AppendFloat(buf, s.delta, 'g', 12, 64)
+	buf = append(buf, '|')
 	for _, p := range s.probs {
-		fmt.Fprintf(&sb, "%.12g,", p)
+		buf = strconv.AppendFloat(buf, p, 'g', 12, 64)
+		buf = append(buf, ',')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // PalInjected returns the exact detection probability of a single attack
@@ -293,7 +296,7 @@ func (in *Instance) NumClasses() int { return len(in.classes) }
 // mixed policy defined by orderings Q with probabilities po and thresholds
 // b, honoring the no-attack option when the game allows it.
 func (in *Instance) BestResponse(e int, Q []Ordering, po []float64, b Thresholds) float64 {
-	return in.classBestResponse(in.entityClass[e], po, in.PalBatch(Q, b))
+	return in.classBestResponse(in.entityClass[e], po, in.PalsFor(Q, po, b))
 }
 
 func (in *Instance) classBestResponse(ci int, po []float64, pals [][]float64) float64 {
@@ -317,10 +320,15 @@ func (in *Instance) classBestResponse(ci int, po []float64, pals [][]float64) fl
 }
 
 // Loss returns the auditor's expected loss Σ_e p_e·max_v Ua under the
-// mixed policy (Q, po, b) — the objective of Eq. 4. The policy's
-// detection probabilities are evaluated as one batch.
+// mixed policy (Q, po, b) — the objective of Eq. 4. The detection
+// probabilities of the policy's support are evaluated as one batch.
 func (in *Instance) Loss(Q []Ordering, po []float64, b Thresholds) float64 {
-	pals := in.PalBatch(Q, b)
+	return in.LossFromPals(po, in.PalsFor(Q, po, b))
+}
+
+// LossFromPals is Loss with the detection probabilities in hand: pals[qi]
+// is Pal(Q[qi], b), and may be nil where po[qi] is zero.
+func (in *Instance) LossFromPals(po []float64, pals [][]float64) float64 {
 	var loss float64
 	for ci := range in.classes {
 		if w := in.classes[ci].weight; w != 0 {

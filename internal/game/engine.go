@@ -1,238 +1,27 @@
 package game
 
 import (
-	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
 )
 
 // palPanic carries the first panic recovered in a pal worker goroutine
 // back to the dispatching goroutine for re-raising.
 type palPanic struct{ val any }
 
-// This file is the detection-probability evaluation engine: interned
-// (ordering, threshold) IDs, a sharded result cache, and a chunked kernel
-// that evaluates batches of orderings in one pass over the realization
-// matrix, optionally sharding realizations across workers.
+// This file is the entry to the detection-probability evaluation
+// engine: Pal and PalBatch run the trie kernel (trie.go), which
+// evaluates a batch of orderings in one pass over the realization
+// matrix, optionally sharding realizations across workers. There is no
+// result cache: every call evaluates, and callers that revisit an
+// (ordering, threshold) pair keep the vector they were handed.
 //
 // Determinism contract: results are bitwise-identical at every worker
-// count. The realization matrix is cut into fixed-size chunks whose
-// boundaries depend only on the data; each chunk accumulates into its own
-// scratch, and partial sums are merged in chunk-index order. The serial
-// path runs the same chunked reduction, so "parallel equals serial" holds
-// to the last bit rather than up to floating-point reassociation.
-
-// fnv1a64 constants for the interners' content hashes.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// orderingInterner assigns stable compact IDs to orderings by content.
-// The hit path hashes the elements on the stack and takes one shard-free
-// read lock — no allocation, no string building.
-type orderingInterner struct {
-	mu     sync.RWMutex
-	byHash map[uint64][]int32
-	vecs   []Ordering
-}
-
-func hashOrdering(o Ordering) uint64 {
-	h := uint64(fnvOffset64)
-	for _, t := range o {
-		h = (h ^ uint64(t)) * fnvPrime64
-	}
-	return (h ^ uint64(len(o))) * fnvPrime64
-}
-
-func (oi *orderingInterner) intern(o Ordering) int32 {
-	h := hashOrdering(o)
-	oi.mu.RLock()
-	for _, id := range oi.byHash[h] {
-		if equalOrdering(oi.vecs[id], o) {
-			oi.mu.RUnlock()
-			return id
-		}
-	}
-	oi.mu.RUnlock()
-
-	oi.mu.Lock()
-	defer oi.mu.Unlock()
-	if oi.byHash == nil {
-		oi.byHash = make(map[uint64][]int32)
-	}
-	for _, id := range oi.byHash[h] {
-		if equalOrdering(oi.vecs[id], o) {
-			return id
-		}
-	}
-	id := int32(len(oi.vecs))
-	oi.vecs = append(oi.vecs, o.Clone())
-	oi.byHash[h] = append(oi.byHash[h], id)
-	return id
-}
-
-// lookup resolves an ordering's interned ID without inserting on a
-// miss — the read-through half of the cache-bypass path, which must not
-// grow the intern tables for throwaway partial orderings.
-func (oi *orderingInterner) lookup(o Ordering) (int32, bool) {
-	h := hashOrdering(o)
-	oi.mu.RLock()
-	defer oi.mu.RUnlock()
-	for _, id := range oi.byHash[h] {
-		if equalOrdering(oi.vecs[id], o) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-func (oi *orderingInterner) size() int {
-	oi.mu.RLock()
-	defer oi.mu.RUnlock()
-	return len(oi.vecs)
-}
-
-func equalOrdering(a, b Ordering) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// thresholdInterner is the float-vector analogue, keyed on exact bit
-// patterns. Bit-exact keys are stricter than the old 12-significant-digit
-// string keys, which could alias two thresholds differing only past the
-// 12th digit onto one cache entry.
-type thresholdInterner struct {
-	mu     sync.RWMutex
-	byHash map[uint64][]int32
-	vecs   []Thresholds
-}
-
-func hashThresholds(b Thresholds) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range b {
-		h = (h ^ math.Float64bits(v)) * fnvPrime64
-	}
-	return (h ^ uint64(len(b))) * fnvPrime64
-}
-
-func (ti *thresholdInterner) intern(b Thresholds) int32 {
-	h := hashThresholds(b)
-	ti.mu.RLock()
-	for _, id := range ti.byHash[h] {
-		if equalThresholds(ti.vecs[id], b) {
-			ti.mu.RUnlock()
-			return id
-		}
-	}
-	ti.mu.RUnlock()
-
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	if ti.byHash == nil {
-		ti.byHash = make(map[uint64][]int32)
-	}
-	for _, id := range ti.byHash[h] {
-		if equalThresholds(ti.vecs[id], b) {
-			return id
-		}
-	}
-	id := int32(len(ti.vecs))
-	ti.vecs = append(ti.vecs, b.Clone())
-	ti.byHash[h] = append(ti.byHash[h], id)
-	return id
-}
-
-// lookup resolves a threshold vector's interned ID without inserting.
-func (ti *thresholdInterner) lookup(b Thresholds) (int32, bool) {
-	h := hashThresholds(b)
-	ti.mu.RLock()
-	defer ti.mu.RUnlock()
-	for _, id := range ti.byHash[h] {
-		if equalThresholds(ti.vecs[id], b) {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-func (ti *thresholdInterner) size() int {
-	ti.mu.RLock()
-	defer ti.mu.RUnlock()
-	return len(ti.vecs)
-}
-
-func equalThresholds(a, b Thresholds) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// palShardCount shards the result cache so concurrent solvers hit
-// different locks; must be a power of two.
-const palShardCount = 16
-
-type palShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]float64
-}
-
-// palKey packs the interned IDs into one cache key.
-func palKey(oid, bid int32) uint64 {
-	return uint64(uint32(oid))<<32 | uint64(uint32(bid))
-}
-
-// palShardOf spreads keys across shards with a splitmix64 finalizer, so
-// sequentially issued IDs don't pile onto one shard.
-func palShardOf(key uint64) int {
-	key ^= key >> 30
-	key *= 0xbf58476d1ce4e5b9
-	key ^= key >> 27
-	key *= 0x94d049bb133111eb
-	key ^= key >> 31
-	return int(key & (palShardCount - 1))
-}
-
-func (in *Instance) cacheGet(key uint64) ([]float64, bool) {
-	s := &in.palShards[palShardOf(key)]
-	s.mu.RLock()
-	pal, ok := s.m[key]
-	s.mu.RUnlock()
-	return pal, ok
-}
-
-// cachePut stores pal and reports whether the key was newly inserted.
-// Two goroutines may compute the same missing key concurrently; their
-// results are bitwise-identical (see the determinism contract above), so
-// the overwrite is harmless, but only the first insert counts toward
-// PalEvals — keeping the accounting deterministic under parallel solvers.
-func (in *Instance) cachePut(key uint64, pal []float64) bool {
-	s := &in.palShards[palShardOf(key)]
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[uint64][]float64)
-	}
-	_, existed := s.m[key]
-	s.m[key] = pal
-	s.mu.Unlock()
-	return !existed
-}
+// count and for every batch an ordering is evaluated in. The
+// realization matrix is cut into fixed-size chunks whose boundaries
+// depend only on the data; each chunk accumulates into its own scratch,
+// and partial sums are merged in chunk-index order. The serial path runs
+// the same chunked reduction, so "parallel equals serial" holds to the
+// last bit rather than up to floating-point reassociation.
 
 // Pal returns the per-type detection probabilities Pal(o,b,t) of Eq. 1:
 // the expected audited fraction of type-t alerts under ordering o and
@@ -245,106 +34,43 @@ func (in *Instance) cachePut(key uint64, pal []float64) bool {
 // Z′_t = max(Z_t, 1): the attack's own alert makes the bin non-empty, and
 // the "attacks are rare" approximation keeps benign consumption at Z_t.
 //
-// Results are cached per (ordering, threshold); the hit path performs no
-// allocation. The returned slice is shared — callers must not mutate it.
+// The returned slice is freshly allocated and owned by the caller.
 func (in *Instance) Pal(o Ordering, b Thresholds) []float64 {
-	key := palKey(in.orderings.intern(o), in.thresholds.intern(b))
-	if pal, ok := in.cacheGet(key); ok {
-		return pal
-	}
-	pal := in.palCompute([]Ordering{o}, b)[0]
-	if in.cachePut(key, pal) {
-		in.palEvals.Add(1)
-	}
-	return pal
+	return in.PalBatch([]Ordering{o}, b)[0]
 }
 
-// PalBatch returns Pal(o,b) for every ordering in os, evaluating all
-// cache misses together in a single pass over the realization matrix.
-// Row k of the result corresponds to os[k]; rows are shared cache entries
-// and must not be mutated. Batching amortizes the per-realization row
-// loads across orderings and gives the parallel kernel enough work to
-// shard realizations across workers.
+// PalBatch returns Pal(o,b) for every ordering in os, evaluated together
+// in a single pass over the realization matrix. Row k of the result
+// corresponds to os[k]; rows are freshly allocated and owned by the
+// caller; an empty batch returns nil without touching the kernel.
+// Batching shares prefix work across orderings and gives the parallel
+// kernel enough work to shard realizations across workers.
 func (in *Instance) PalBatch(os []Ordering, b Thresholds) [][]float64 {
-	out := make([][]float64, len(os))
-	bid := in.thresholds.intern(b)
-	keys := make([]uint64, len(os))
-	var missIdx []int
-	var missOrd []Ordering
-	for k, o := range os {
-		keys[k] = palKey(in.orderings.intern(o), bid)
-		if pal, ok := in.cacheGet(keys[k]); ok {
-			out[k] = pal
-		} else {
-			missIdx = append(missIdx, k)
-			missOrd = append(missOrd, o)
-		}
+	if len(os) == 0 {
+		return nil
 	}
-	if len(missOrd) > 0 {
-		pals := in.palCompute(missOrd, b)
-		var inserted int64
-		for j, k := range missIdx {
-			out[k] = pals[j]
-			if in.cachePut(keys[k], pals[j]) {
-				inserted++
-			}
-		}
-		in.palEvals.Add(inserted)
-	}
-	return out
+	pals := in.palCompute(os, b)
+	in.palEvals.Add(int64(len(os)))
+	return pals
 }
 
-// PalBatchNoCache evaluates the orderings like PalBatch but never grows
-// the cache or the intern tables: already-cached entries are still
-// served (read-through), misses are computed and returned without being
-// stored. The pricing oracle's partial orderings are evaluated once and
-// never looked up again — caching ~|T|²/2 of them per generated column
-// only bloats the tables. Returned miss rows are freshly allocated and
-// owned by the caller; hit rows are shared cache entries and must not be
-// mutated.
-func (in *Instance) PalBatchNoCache(os []Ordering, b Thresholds) [][]float64 {
-	out := make([][]float64, len(os))
-	var missIdx []int
-	var missOrd []Ordering
-	if bid, ok := in.thresholds.lookup(b); ok {
-		for k, o := range os {
-			if oid, ok := in.orderings.lookup(o); ok {
-				if pal, hit := in.cacheGet(palKey(oid, bid)); hit {
-					out[k] = pal
-					continue
-				}
-			}
-			missIdx = append(missIdx, k)
-			missOrd = append(missOrd, o)
-		}
-	} else {
-		missIdx = make([]int, len(os))
-		missOrd = os
-		for k := range os {
-			missIdx[k] = k
+// PalsFor returns Pal(Q[i], b) for every column of a policy that can
+// enter a best response — every i with po[i] ≠ 0 — evaluated in one
+// PalBatch, leaving nil rows for the rest.
+func (in *Instance) PalsFor(Q []Ordering, po []float64, b Thresholds) [][]float64 {
+	out := make([][]float64, len(Q))
+	var idx []int
+	var support []Ordering
+	for i, o := range Q {
+		if po[i] != 0 {
+			idx = append(idx, i)
+			support = append(support, o)
 		}
 	}
-	if len(missOrd) > 0 {
-		pals := in.palCompute(missOrd, b)
-		for j, k := range missIdx {
-			out[k] = pals[j]
-		}
-		in.palEvals.Add(int64(len(missOrd)))
+	for j, pal := range in.PalBatch(support, b) {
+		out[idx[j]] = pal
 	}
 	return out
-}
-
-// CacheStats reports the sizes of the pal result cache and the two
-// intern tables — the quantities the cache-bounding tests assert stay
-// flat while the oracle churns through throwaway partial orderings.
-func (in *Instance) CacheStats() (pals, orderings, thresholds int) {
-	for s := range in.palShards {
-		sh := &in.palShards[s]
-		sh.mu.RLock()
-		pals += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return pals, in.orderings.size(), in.thresholds.size()
 }
 
 // palChunkRows is the fixed realization-chunk size. Boundaries depend
@@ -355,178 +81,6 @@ const palChunkRows = 1024
 // palParallelMinWork is the rows×orderings product below which the
 // dispatch loop stays serial; tiny evaluations aren't worth goroutines.
 const palParallelMinWork = 8192
-
-// palComputeReference evaluates each ordering independently against the
-// realization matrix — the pre-trie kernel, kept as the reference
-// implementation the equivalence goldens pin palCompute (trie.go)
-// against, bit for bit.
-func (in *Instance) palComputeReference(os []Ordering, b Thresholds) [][]float64 {
-	nT := len(in.G.Types)
-	nRows := len(in.ws)
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
-
-	// Per-ordering constants hoisted out of the realization loop:
-	// position costs, audit caps ⌊b_t/C_t⌋, position thresholds, and the
-	// suffix-minimum cost that lets the kernel stop a row early once the
-	// remaining budget can't buy any further audit.
-	costs := make([][]float64, len(os))
-	caps := make([][]float64, len(os))
-	bpos := make([][]float64, len(os))
-	sufMin := make([][]float64, len(os))
-	for k, o := range os {
-		costs[k] = make([]float64, len(o))
-		caps[k] = make([]float64, len(o))
-		bpos[k] = make([]float64, len(o))
-		sufMin[k] = make([]float64, len(o))
-		for i, t := range o {
-			costs[k][i] = in.G.Types[t].Cost
-			caps[k][i] = math.Floor(b[t] / costs[k][i])
-			bpos[k][i] = b[t]
-		}
-		m := math.Inf(1)
-		for i := len(o) - 1; i >= 0; i-- {
-			if costs[k][i] < m {
-				m = costs[k][i]
-			}
-			sufMin[k][i] = m
-		}
-	}
-
-	// Work units are (chunk, ordering) cells: each writes a disjoint
-	// nT-wide span of its chunk's scratch, so cells parallelize freely in
-	// both dimensions — many orderings over a small matrix fan out just
-	// as well as one ordering over a large one — without touching the
-	// fixed chunk boundaries the determinism contract depends on.
-	partials := make([][]float64, nChunks)
-	for c := range partials {
-		partials[c] = make([]float64, len(os)*nT)
-	}
-	cell := func(unit int) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// The kernel has no error return; panic-only point. The
-			// worker containment below (or, on the serial path, the
-			// solver entry guard) turns it back into a typed error.
-			panic(err)
-		}
-		c, k := unit/len(os), unit%len(os)
-		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		in.palChunk(lo, hi, os[k], costs[k], caps[k], bpos[k], sufMin[k], partials[c][k*nT:(k+1)*nT])
-	}
-
-	nUnits := nChunks * len(os)
-	if workers := in.workerCount(nUnits, nRows*len(os)); workers > 1 {
-		// Panic containment: a panicking worker must not kill the
-		// process (callers above the solver entry points expect a typed
-		// error) and must not strand its siblings. The first panic value
-		// is captured here; the panicking worker exits, the remaining
-		// workers drain the remaining units, wg.Wait returns, and the
-		// panic is re-raised on the calling goroutine, where the solver
-		// entry guard converts it to a *SolveError.
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						return
-					}
-					cell(u)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		for u := 0; u < nUnits; u++ {
-			cell(u)
-		}
-	}
-
-	// Deterministic merge: chunk-index order, every worker count.
-	backing := make([]float64, len(os)*nT)
-	out := make([][]float64, len(os))
-	for k := range os {
-		out[k] = backing[k*nT : (k+1)*nT : (k+1)*nT]
-	}
-	for c := 0; c < nChunks; c++ {
-		for i, v := range partials[c] {
-			backing[i] += v
-		}
-	}
-	return out
-}
-
-// palChunk accumulates the contribution of realization rows [lo, hi) for
-// one ordering into accRow (nT wide). This is the innermost loop of every
-// solver; it avoids math.Min's NaN bookkeeping, trades the per-element
-// count division for the precomputed reciprocal matrix, and bails out of
-// a row once the remaining budget is below the cheapest remaining audit
-// cost. The chunk's rows stay cache-hot across the orderings that walk
-// it, per-ordering constants hoist out of the row loop, and consecutive
-// rows carry no data dependency, so their budget-recursion chains overlap
-// in flight.
-func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow []float64) {
-	nT := in.nT
-	budget := in.Budget
-	zs := in.zs
-	zrecip := in.zrecip
-	ws := in.ws
-	for zi := lo; zi < hi; zi++ {
-		base := zi * nT
-		row := zs[base : base+nT]
-		recip := zrecip[base : base+nT]
-		w := ws[zi]
-		spent := 0.0
-		for i, t := range o {
-			rem := budget - spent
-			if rem < mink[i] {
-				break // no remaining type can afford one audit
-			}
-			ct := ck[i]
-			var avail float64
-			if ct == 1 {
-				avail = math.Floor(rem)
-			} else {
-				avail = math.Floor(rem / ct)
-			}
-			zt := row[t]
-			ztEff := zt
-			if ztEff < 1 {
-				ztEff = 1
-			}
-			nt := avail
-			if c := capk[i]; c < nt {
-				nt = c
-			}
-			if ztEff < nt {
-				nt = ztEff
-			}
-			if nt > 0 {
-				accRow[t] += w * nt * recip[t]
-			}
-			s := zt * ct
-			if bt := bk[i]; bt < s {
-				s = bt
-			}
-			spent += s
-		}
-	}
-}
 
 // workerCount resolves the sharding width for one evaluation: Workers
 // when set, else GOMAXPROCS, clamped to the (chunk × ordering) work-unit
@@ -546,9 +100,10 @@ func (in *Instance) workerCount(nUnits, work int) int {
 	return w
 }
 
-// PalEvals returns the number of uncached Pal computations performed,
-// used by the instrumentation in Table VII-style accounting and the
-// estimator ablations.
+// PalEvals returns the number of orderings the kernel has evaluated on
+// this instance through Pal and PalBatch (one per batch row) and
+// PalGridSweep (one per ordering and grid point) — the Table VII-style
+// work count the solver stats and benchmarks report.
 func (in *Instance) PalEvals() int {
 	return int(in.palEvals.Load())
 }

@@ -1,7 +1,9 @@
 package game
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"auditgame/internal/dist"
@@ -151,20 +153,6 @@ func TestPalZeroCountConvention(t *testing.T) {
 	}
 }
 
-func TestPalCaching(t *testing.T) {
-	in := tinyInstance(t, 3)
-	in.Pal(Ordering{0, 1}, Thresholds{2, 2})
-	n := in.PalEvals()
-	in.Pal(Ordering{0, 1}, Thresholds{2, 2})
-	if in.PalEvals() != n {
-		t.Fatal("cache miss on repeated Pal call")
-	}
-	in.Pal(Ordering{0, 1}, Thresholds{2, 1})
-	if in.PalEvals() != n+1 {
-		t.Fatal("expected exactly one extra eval")
-	}
-}
-
 func TestUaRowSignAndValue(t *testing.T) {
 	// Ua = −Pat·M + (1−Pat)·R − K. With pal = (1, 0.5):
 	// sig A (R=5,M=10,K=1, type 0): Pat=1 → −10 + 0 − 1 = −11.
@@ -200,10 +188,16 @@ func TestSignatureDeduplication(t *testing.T) {
 	}
 }
 
+// solveAt evaluates the columns' pals at thresholds b and solves the
+// master over them — the call pattern of every exact caller.
+func solveAt(in *Instance, Q []Ordering, b Thresholds, warm *MasterBasis) (*LPResult, error) {
+	return in.SolveMaster(Q, in.PalBatch(Q, b), warm)
+}
+
 func TestSolveFixedSingleOrdering(t *testing.T) {
 	in := tinyInstance(t, 3)
 	Q := []Ordering{{0, 1}}
-	res, err := in.SolveFixed(Q, Thresholds{2, 2})
+	res, err := solveAt(in, Q, Thresholds{2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +216,15 @@ func TestSolveFixedMixingHelps(t *testing.T) {
 	// must be no worse than either pure ordering.
 	in := tinyInstance(t, 3)
 	b := Thresholds{2, 2}
-	pure0, err := in.SolveFixed([]Ordering{{0, 1}}, b)
+	pure0, err := solveAt(in, []Ordering{{0, 1}}, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure1, err := in.SolveFixed([]Ordering{{1, 0}}, b)
+	pure1, err := solveAt(in, []Ordering{{1, 0}}, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := in.SolveFixed([]Ordering{{0, 1}, {1, 0}}, b)
+	mixed, err := solveAt(in, []Ordering{{0, 1}, {1, 0}}, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +248,7 @@ func TestSolveFixedObjectiveMatchesLoss(t *testing.T) {
 	in := tinyInstance(t, 3)
 	b := Thresholds{2, 2}
 	Q := []Ordering{{0, 1}, {1, 0}}
-	res, err := in.SolveFixed(Q, b)
+	res, err := solveAt(in, Q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,18 +256,39 @@ func TestSolveFixedObjectiveMatchesLoss(t *testing.T) {
 	if math.Abs(loss-res.Objective) > 1e-8 {
 		t.Fatalf("Loss = %v, LP objective = %v", loss, res.Objective)
 	}
+
+	// A zero-probability column changes nothing, bit for bit, and is
+	// never evaluated; LossFromPals takes a nil row for it.
+	withZero := append(append([]Ordering(nil), Q...), Ordering{1})
+	po := append(append([]float64(nil), res.Po...), 0)
+	n := in.PalEvals()
+	if got := in.Loss(withZero, po, b); got != loss {
+		t.Fatalf("Loss with a zero-probability column = %v, want %v", got, loss)
+	}
+	if got := in.PalEvals() - n; got != len(Q) {
+		t.Fatalf("Loss evaluated %d orderings, want the %d support columns", got, len(Q))
+	}
+	pals := append(in.PalBatch(Q, b), nil)
+	if got := in.LossFromPals(po, pals); got != loss {
+		t.Fatalf("LossFromPals = %v, want %v", got, loss)
+	}
 }
 
 func TestSolveFixedErrors(t *testing.T) {
 	in := tinyInstance(t, 3)
-	if _, err := in.SolveFixed(nil, Thresholds{2, 2}); err == nil {
+	b := Thresholds{2, 2}
+	Q := []Ordering{{0, 1}}
+	if _, err := in.SolveMaster(nil, nil, nil); err == nil {
 		t.Fatal("expected error for empty Q")
 	}
-	if _, err := in.SolveFixed([]Ordering{{0, 1}}, Thresholds{2}); err == nil {
-		t.Fatal("expected error for wrong threshold length")
+	if _, err := in.SolveMaster(Q, nil, nil); err == nil {
+		t.Fatal("expected error for a missing pal vector")
 	}
-	if _, err := in.SolveFixed([]Ordering{{0, 0}}, Thresholds{2, 2}); err == nil {
-		t.Fatal("expected error for non-permutation")
+	if _, err := in.SolveMaster(Q, [][]float64{{0.5}}, nil); err == nil {
+		t.Fatal("expected error for a pal vector of the wrong length")
+	}
+	if _, err := in.SolveMaster(Q, in.PalBatch(Q, b), nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -283,12 +298,12 @@ func TestReducedCostNonNegativeAtOptimum(t *testing.T) {
 	in := tinyInstance(t, 3)
 	b := Thresholds{2, 2}
 	all := AllOrderings(2)
-	res, err := in.SolveFixed(all, b)
+	res, err := solveAt(in, all, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range all {
-		if rc := in.ReducedCost(res, o, b); rc < -1e-7 {
+		if rc := in.ReducedCost(res, in.Pal(o, b)); rc < -1e-7 {
 			t.Fatalf("ordering %v has negative reduced cost %v at optimum", o, rc)
 		}
 	}
@@ -309,7 +324,7 @@ func TestNoAttackOptionClampsLossAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := in.SolveFixed(AllOrderings(2), Thresholds{2, 2})
+	res, err := solveAt(in, AllOrderings(2), Thresholds{2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,5 +368,37 @@ func TestSynAShape(t *testing.T) {
 	a = g.Attacks[0][7]
 	if a.TypeProbs[0] != 1 || a.Benefit != 3.4 {
 		t.Fatalf("e1→r8 attack = %+v", a)
+	}
+}
+
+// TestSigKeyMatchesPrintf pins sigKey to the %.12g rendering that keys
+// entity classes, special values included, so the class partition of
+// every game stays where it was.
+func TestSigKeyMatchesPrintf(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, -2.5e21, 1e-7,
+		123456789012.5, 0.30000000000000004, 5e-324, 2.2250738585072014e-308,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	sigs := []signature{{base: 1, delta: -2, probs: vals}} // past the stack buffer
+	for i, base := range vals {
+		sigs = append(sigs, signature{
+			base:  base,
+			delta: vals[(i+5)%len(vals)],
+			probs: []float64{vals[(i+1)%len(vals)], vals[(i+11)%len(vals)], 0},
+		})
+	}
+	for _, s := range sigs {
+		want := fmt.Sprintf("%.12g|%.12g|", s.base, s.delta)
+		for _, p := range s.probs {
+			want += fmt.Sprintf("%.12g,", p)
+		}
+		if got := sigKey(s); got != want {
+			t.Fatalf("sigKey(%v) = %q, want %q", s, got, want)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // point. It is the PrefixPricer's budget-checkpoint sharing (prefix.go)
 // applied across the threshold grid instead of along one ordering.
 //
-// Bitwise contract: Pals(ks) equals PalBatchNoCache(os, b(ks)) bit for
+// Bitwise contract: Pals(ks) equals PalBatch(os, b(ks)) bit for
 // bit. Per (node, threshold-prefix) the row operations are the ones the
 // fixed-threshold walk performs at that node, in the same row order
 // over the same chunks, and chunk partials accumulate into the table in

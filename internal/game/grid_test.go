@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"auditgame/internal/sample"
@@ -9,43 +10,46 @@ import (
 
 // TestPalGridSweepMatchesBatch pins the grid-swept table against the
 // fixed-threshold batch kernel: at every grid point, every ordering's
-// pal vector must match PalBatchNoCache bit for bit.
+// pal vector must match PalBatch bit for bit.
 func TestPalGridSweepMatchesBatch(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := trieTestGame(4, seed)
 		in := mustInstance(t, g, 6)
 		os := AllOrderings(4)
 		steps := []int{3, 2, 3, 2}
-		pg := in.PalGridSweep(os, steps)
-		if pg == nil {
-			t.Fatalf("seed %d: sweep refused a %v grid", seed, steps)
-		}
-		ks := make([]int, 4)
-		b := make(Thresholds, 4)
-		var rec func(t0 int)
-		rec = func(t0 int) {
-			if t0 == 4 {
-				for t2 := range b {
-					b[t2] = float64(ks[t2]) * in.G.Types[t2].Cost
-				}
-				want := in.PalBatchNoCache(os, b)
-				got := pg.Pals(ks)
-				for o := range os {
-					for ty := 0; ty < 4; ty++ {
-						if math.Float64bits(got[o][ty]) != math.Float64bits(want[o][ty]) {
-							t.Fatalf("seed %d ks=%v ordering %v: pal[%d] = %v, batch kernel says %v",
-								seed, ks, os[o], ty, got[o][ty], want[o][ty])
+		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			in.Workers = w
+			pg := in.PalGridSweep(os, steps)
+			if pg == nil {
+				t.Fatalf("seed %d: sweep refused a %v grid", seed, steps)
+			}
+			ks := make([]int, 4)
+			b := make(Thresholds, 4)
+			var rec func(t0 int)
+			rec = func(t0 int) {
+				if t0 == 4 {
+					for t2 := range b {
+						b[t2] = float64(ks[t2]) * in.G.Types[t2].Cost
+					}
+					want := in.PalBatch(os, b)
+					got := pg.Pals(ks)
+					for o := range os {
+						for ty := 0; ty < 4; ty++ {
+							if math.Float64bits(got[o][ty]) != math.Float64bits(want[o][ty]) {
+								t.Fatalf("seed %d workers=%d ks=%v ordering %v: pal[%d] = %v, batch kernel says %v",
+									seed, w, ks, os[o], ty, got[o][ty], want[o][ty])
+							}
 						}
 					}
+					return
 				}
-				return
+				for k := 0; k <= steps[t0]; k++ {
+					ks[t0] = k
+					rec(t0 + 1)
+				}
 			}
-			for k := 0; k <= steps[t0]; k++ {
-				ks[t0] = k
-				rec(t0 + 1)
-			}
+			rec(0)
 		}
-		rec(0)
 	}
 }
 

@@ -25,82 +25,42 @@ type LPResult struct {
 	RowDuals    [][]float64
 	SimplexDual float64
 	// Basis is the optimal basis in game-logical coordinates, reusable
-	// as the warm start of a later SolveFixedWarm over a grown ordering
+	// as the warm start of a later SolveMaster over a grown ordering
 	// pool or a refit instance with the same class structure.
 	Basis *MasterBasis
 	// Iterations counts simplex pivots.
 	Iterations int
 }
 
-// SolveFixed solves the zero-sum LP of Eq. 5 with thresholds b fixed and
-// the auditor's orderings restricted to the set Q:
+// SolveMaster solves the zero-sum LP of Eq. 5 with the auditor's
+// orderings restricted to the set Q and the thresholds fixed by the
+// detection probabilities in hand — pals[qi] = Pal(Q[qi], b), one vector
+// per ordering, as PalBatch or PalGrid.Pals return them:
 //
 //	min  Σ_e p_e·u_e
 //	s.t. Σ_o p_o·Ua(o,b,⟨e,v⟩) − u_e ≤ 0     ∀e, ∀ distinct v-signature
 //	     u_e ≥ 0                              (when AllowNoAttack)
 //	     Σ_o p_o = 1,  p_o ≥ 0,  u_e free
-func (in *Instance) SolveFixed(Q []Ordering, b Thresholds) (*LPResult, error) {
-	return in.solveFixed(Q, b, nil, true)
-}
-
-// SolveFixedEphemeral is SolveFixed minus the pal cache: detection
-// probabilities are computed through the read-through no-cache path, so
-// nothing is interned or stored. One-shot sweeps — brute force visits
-// each threshold vector exactly once — otherwise fill the cache with
-// entries that will never be read again and pay map and GC cost for the
-// privilege.
-func (in *Instance) SolveFixedEphemeral(Q []Ordering, b Thresholds) (*LPResult, error) {
-	return in.solveFixed(Q, b, nil, false)
-}
-
-// SolveFixedWarm is SolveFixed with an advisory warm-start basis from a
-// previous solve — typically LPResult.Basis of the last pricing round
-// (the pool grew by one column) or of the pre-refit master (same class
-// structure, perturbed count model). A nil, stale, or structurally
-// incompatible basis degrades to the cold solve; it never changes the
-// result, only the pivot count.
-func (in *Instance) SolveFixedWarm(Q []Ordering, b Thresholds, warm *MasterBasis) (*LPResult, error) {
-	return in.solveFixed(Q, b, warm, true)
-}
-
-func (in *Instance) solveFixed(Q []Ordering, b Thresholds, warm *MasterBasis, cache bool) (*LPResult, error) {
+//
+// warm is an advisory warm-start basis from a previous solve —
+// typically LPResult.Basis of the last pricing round (the pool grew by
+// one column) or of the pre-refit master (same class structure,
+// perturbed count model). A nil, stale, or structurally incompatible
+// basis degrades to the cold solve; it never changes the result, only
+// the pivot count.
+func (in *Instance) SolveMaster(Q []Ordering, pals [][]float64, warm *MasterBasis) (*LPResult, error) {
 	if len(Q) == 0 {
-		return nil, fmt.Errorf("game: SolveFixed needs at least one ordering")
-	}
-	if len(b) != len(in.G.Types) {
-		return nil, fmt.Errorf("game: thresholds have %d entries, want |T| = %d", len(b), len(in.G.Types))
-	}
-	for qi, o := range Q {
-		if !o.ValidPermutation(len(in.G.Types)) {
-			return nil, fmt.Errorf("game: Q[%d] = %v is not a permutation of the %d types", qi, o, len(in.G.Types))
-		}
-	}
-
-	// Pal for all orderings in one batched pass, then Ua rows per
-	// (ordering, entity signature).
-	var pals [][]float64
-	if cache {
-		pals = in.PalBatch(Q, b)
-	} else {
-		pals = in.PalBatchNoCache(Q, b)
-	}
-	return in.solveFixedFromPals(Q, pals, warm)
-}
-
-// SolveFixedPals solves the restricted LP with the detection
-// probabilities already in hand — one pal vector per ordering, as
-// returned by PalGrid.Pals. Threshold-grid sweeps batch their pal work
-// across every grid point up front and come through here, skipping
-// both pal evaluation and the per-call permutation validation of
-// SolveFixed (the orderings were validated when the grid was built).
-func (in *Instance) SolveFixedPals(Q []Ordering, pals [][]float64) (*LPResult, error) {
-	if len(Q) == 0 {
-		return nil, fmt.Errorf("game: SolveFixedPals needs at least one ordering")
+		return nil, fmt.Errorf("game: SolveMaster needs at least one ordering")
 	}
 	if len(pals) != len(Q) {
-		return nil, fmt.Errorf("game: SolveFixedPals got %d pal vectors for %d orderings", len(pals), len(Q))
+		return nil, fmt.Errorf("game: SolveMaster got %d pal vectors for %d orderings", len(pals), len(Q))
 	}
-	return in.solveFixedFromPals(Q, pals, nil)
+	for qi, pal := range pals {
+		if len(pal) != in.nT {
+			return nil, fmt.Errorf("game: pal vector %d has %d entries, want |T| = %d", qi, len(pal), in.nT)
+		}
+	}
+	return in.solveFixedFromPals(Q, pals, warm)
 }
 
 func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *MasterBasis) (*LPResult, error) {
@@ -189,41 +149,12 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 	return res, nil
 }
 
-// ReducedCost prices a candidate ordering column o against the duals of a
-// previously solved restricted LP. Negative means o improves the LP.
-// Partial orderings are priced too (types absent are never audited), which
-// is what the greedy CGGS oracle exploits.
-func (in *Instance) ReducedCost(res *LPResult, o Ordering, b Thresholds) float64 {
-	return in.reducedCostFromPal(res, in.Pal(o, b))
-}
-
-// ReducedCostBatch prices many candidate columns at once, evaluating all
-// their detection probabilities in a single pass over the realization
-// matrix. The CGGS greedy oracle prices every one-type extension of its
-// partial ordering per step, which is exactly this shape.
-func (in *Instance) ReducedCostBatch(res *LPResult, os []Ordering, b Thresholds) []float64 {
-	pals := in.PalBatch(os, b)
-	out := make([]float64, len(os))
-	for i, pal := range pals {
-		out[i] = in.reducedCostFromPal(res, pal)
-	}
-	return out
-}
-
-// ReducedCostBatchNoCache is ReducedCostBatch through PalBatchNoCache:
-// identical values, but neither the pal cache nor the intern tables grow
-// on misses. The reference pricing oracle's throwaway partial orderings
-// go through here.
-func (in *Instance) ReducedCostBatchNoCache(res *LPResult, os []Ordering, b Thresholds) []float64 {
-	pals := in.PalBatchNoCache(os, b)
-	out := make([]float64, len(os))
-	for i, pal := range pals {
-		out[i] = in.reducedCostFromPal(res, pal)
-	}
-	return out
-}
-
-func (in *Instance) reducedCostFromPal(res *LPResult, pal []float64) float64 {
+// ReducedCost prices a candidate column against the duals of a solved
+// restricted LP, given the column's detection probabilities pal =
+// Pal(o, b). Negative means o improves the LP. Partial orderings are
+// priced too (types absent are never audited), which is what the greedy
+// CGGS oracle exploits.
+func (in *Instance) ReducedCost(res *LPResult, pal []float64) float64 {
 	var priced float64
 	for ci := range in.classes {
 		for s, sig := range in.classes[ci].sigs {
@@ -261,7 +192,7 @@ func (in *Instance) DualTypeWeights(res *LPResult) []float64 {
 
 // pruneMarginCoeff scales the safety margins of the reduced-cost bounds
 // below. The bounds compare the composed form rcPrefix − W[t]·Δ against
-// reduced costs evaluated exactly through reducedCostFromPal; the two
+// reduced costs evaluated exactly through ReducedCost; the two
 // agree algebraically but not bitwise, so every bound is slackened by
 // ~1e-12 of its operand scale — roughly a thousand times the worst
 // reassociation error at these magnitudes, and still far below any
@@ -296,7 +227,7 @@ type ExtendOutcome struct {
 // lower bound is evaluated exactly to seed an incumbent, then every
 // remaining candidate whose lower bound already exceeds the incumbent is
 // discarded without touching the realization matrix. Survivors get their
-// exact reduced cost through the same reducedCostFromPal path the
+// exact reduced cost through the same ReducedCost path the
 // batched oracle uses, on a composed pal vector that is bitwise-
 // identical to the full walk's — and the margins guarantee a pruned
 // candidate's exact reduced cost is strictly above the final minimum, so
@@ -306,7 +237,7 @@ func (in *Instance) ExtendReducedCosts(res *LPResult, pp *PrefixPricer, cands []
 	if len(cands) == 0 {
 		panic("game: ExtendReducedCosts needs at least one candidate")
 	}
-	rcPrefix := in.reducedCostFromPal(res, pp.pal)
+	rcPrefix := in.ReducedCost(res, pp.pal)
 
 	// Margin-lowered lower bounds: rc(prefix+t) = rcPrefix − W[t]·Δ_t in
 	// exact arithmetic with Δ_t ∈ [0, ub[t]], so rc is at least
@@ -340,7 +271,7 @@ func (in *Instance) ExtendReducedCosts(res *LPResult, pp *PrefixPricer, cands []
 		for j, t := range ts {
 			ub[t] = deltas[j]
 			pp.pal[t] = deltas[j]
-			rc := in.reducedCostFromPal(res, pp.pal)
+			rc := in.ReducedCost(res, pp.pal)
 			pp.pal[t] = 0
 			if better(rc, t) {
 				out.BestRC, out.BestType, out.BestDelta = rc, t, deltas[j]
@@ -377,7 +308,7 @@ func (in *Instance) ExtendReducedCosts(res *LPResult, pp *PrefixPricer, cands []
 // clears −eps the oracle can stop: no completion — the greedy one
 // included — prices negatively enough to enter the master.
 func (in *Instance) CompletionLowerBound(res *LPResult, pp *PrefixPricer, W, ub []float64) float64 {
-	rcPrefix := in.reducedCostFromPal(res, pp.pal)
+	rcPrefix := in.ReducedCost(res, pp.pal)
 	var sum float64
 	for t := 0; t < in.nT; t++ {
 		if pp.inPrefix[t] {

@@ -180,7 +180,8 @@ func (pp *PrefixPricer) ExtendDeltas(cands []int) []float64 {
 
 // extendChunk is ExtendDeltas' inner loop: the appended position of
 // candidate t over rows [lo, hi), against the checkpointed spent values —
-// the same operations palChunk performs at that position of a full walk.
+// the same operations the per-ordering reference kernel (palChunk,
+// trie_test.go) performs at that position of a full walk.
 func (pp *PrefixPricer) extendChunk(lo, hi int, t int) float64 {
 	in := pp.in
 	nT := in.nT

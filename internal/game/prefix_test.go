@@ -3,6 +3,7 @@ package game
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"auditgame/internal/sample"
@@ -34,44 +35,47 @@ func TestPrefixPricerMatchesKernel(t *testing.T) {
 		for i := range b {
 			b[i] = float64(rng.Intn(10))
 		}
-		pp, err := NewPrefixPricer(in, b)
-		if err != nil {
-			t.Fatal(err)
-		}
 		walk := Ordering(rng.Perm(tc.nT))
-		for step := 0; step < tc.nT; step++ {
-			prefix := walk[:step]
-			// Prefix pal: checkpointed entries vs a full kernel walk.
-			want := in.PalBatchNoCache([]Ordering{prefix.Clone()}, b)[0]
-			for ty := 0; ty < tc.nT; ty++ {
-				if math.Float64bits(pp.Pal()[ty]) != math.Float64bits(want[ty]) {
-					t.Fatalf("nT=%d step=%d: prefix pal[%d] = %v (pricer) vs %v (kernel)",
-						tc.nT, step, ty, pp.Pal()[ty], want[ty])
+		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			in.Workers = w
+			pp, err := NewPrefixPricer(in, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < tc.nT; step++ {
+				prefix := walk[:step]
+				// Prefix pal: checkpointed entries vs a full kernel walk.
+				want := in.PalBatch([]Ordering{prefix.Clone()}, b)[0]
+				for ty := 0; ty < tc.nT; ty++ {
+					if math.Float64bits(pp.Pal()[ty]) != math.Float64bits(want[ty]) {
+						t.Fatalf("nT=%d workers=%d step=%d: prefix pal[%d] = %v (pricer) vs %v (kernel)",
+							tc.nT, w, step, ty, pp.Pal()[ty], want[ty])
+					}
 				}
-			}
-			// Candidate deltas: one appended-position evaluation each vs
-			// the kernel's full walk of prefix+t.
-			inPrefix := make([]bool, tc.nT)
-			for _, ty := range prefix {
-				inPrefix[ty] = true
-			}
-			var cands []int
-			var ext []Ordering
-			for ty := 0; ty < tc.nT; ty++ {
-				if !inPrefix[ty] {
-					cands = append(cands, ty)
-					ext = append(ext, append(prefix.Clone(), ty))
+				// Candidate deltas: one appended-position evaluation each vs
+				// the kernel's full walk of prefix+t.
+				inPrefix := make([]bool, tc.nT)
+				for _, ty := range prefix {
+					inPrefix[ty] = true
 				}
-			}
-			deltas := pp.ExtendDeltas(cands)
-			pals := in.PalBatchNoCache(ext, b)
-			for j, ty := range cands {
-				if math.Float64bits(deltas[j]) != math.Float64bits(pals[j][ty]) {
-					t.Fatalf("nT=%d step=%d cand=%d: delta %v (pricer) vs %v (kernel), prefix %v",
-						tc.nT, step, ty, deltas[j], pals[j][ty], prefix)
+				var cands []int
+				var ext []Ordering
+				for ty := 0; ty < tc.nT; ty++ {
+					if !inPrefix[ty] {
+						cands = append(cands, ty)
+						ext = append(ext, append(prefix.Clone(), ty))
+					}
 				}
+				deltas := pp.ExtendDeltas(cands)
+				pals := in.PalBatch(ext, b)
+				for j, ty := range cands {
+					if math.Float64bits(deltas[j]) != math.Float64bits(pals[j][ty]) {
+						t.Fatalf("nT=%d workers=%d step=%d cand=%d: delta %v (pricer) vs %v (kernel), prefix %v",
+							tc.nT, w, step, ty, deltas[j], pals[j][ty], prefix)
+					}
+				}
+				pp.Advance(walk[step], deltas[indexOf(cands, walk[step])])
 			}
-			pp.Advance(walk[step], deltas[indexOf(cands, walk[step])])
 		}
 	}
 }
@@ -83,39 +87,4 @@ func indexOf(xs []int, x int) int {
 		}
 	}
 	return -1
-}
-
-// TestPalBatchNoCacheBypassesCache checks the no-cache path reads
-// through existing entries (same bits) without inserting new ones — the
-// property that keeps the pal cache bounded while the oracle churns
-// through O(|T|²) throwaway partial orderings per column.
-func TestPalBatchNoCacheBypassesCache(t *testing.T) {
-	g := trieTestGame(8, 9)
-	src := sample.NewBank(g.Dists(), 600, 9)
-	in, err := NewInstance(g, 20, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Thresholds{3, 4, 2, 5, 1, 4, 3, 2}
-	rng := rand.New(rand.NewSource(7))
-	full := Ordering(rng.Perm(8))
-	cached := in.PalBatch([]Ordering{full}, b) // populate one entry
-	pals0, ords0, thrs0 := in.CacheStats()
-
-	var os []Ordering
-	os = append(os, full.Clone())
-	for l := 1; l < 8; l++ {
-		os = append(os, full[:l].Clone())
-	}
-	got := in.PalBatchNoCache(os, b)
-	for ty := range cached[0] {
-		if math.Float64bits(got[0][ty]) != math.Float64bits(cached[0][ty]) {
-			t.Fatalf("no-cache read-through diverged at type %d: %v vs %v", ty, got[0][ty], cached[0][ty])
-		}
-	}
-	pals1, ords1, thrs1 := in.CacheStats()
-	if pals1 != pals0 || ords1 != ords0 || thrs1 != thrs0 {
-		t.Fatalf("PalBatchNoCache grew the cache: pals %d→%d, orderings %d→%d, thresholds %d→%d",
-			pals0, pals1, ords0, ords1, thrs0, thrs1)
-	}
 }

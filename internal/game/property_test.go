@@ -137,11 +137,11 @@ func TestRestrictedLPMonotoneInColumnsProperty(t *testing.T) {
 		}
 		b := Thresholds{3, 3, 3}
 		all := AllOrderings(3)
-		full, err := in.SolveFixed(all, b)
+		full, err := solveAt(in, all, b, nil)
 		if err != nil {
 			return false
 		}
-		sub, err := in.SolveFixed(all[:2], b)
+		sub, err := solveAt(in, all[:2], b, nil)
 		if err != nil {
 			return false
 		}
@@ -167,7 +167,7 @@ func TestLPLossConsistencyProperty(t *testing.T) {
 		}
 		b := Thresholds{2, 4, 3}
 		all := AllOrderings(3)
-		res, err := in.SolveFixed(all, b)
+		res, err := solveAt(in, all, b, nil)
 		if err != nil {
 			return false
 		}

@@ -14,7 +14,7 @@ import (
 // every realization row for those k positions. This file builds a prefix
 // trie over a batch and walks each realization row once over the trie
 // instead of once per (ordering, position) — the batches every solver
-// issues (all |T|! orderings of SolveFixed on small games, the growing
+// issues (all |T|! orderings of an exact master on small games, the growing
 // column pool of a restricted master, the exhaustive pricing oracle)
 // are exactly the prefix-heavy shape where this collapses most of the
 // kernel work.
@@ -204,7 +204,7 @@ func (in *Instance) buildPalTrie(os []Ordering, b Thresholds) *palTrie {
 // palCompute evaluates the orderings against the realization matrix and
 // returns one freshly allocated pal vector per ordering, sharing prefix
 // work across the batch through a trie. Results are bitwise-identical to
-// palComputeReference (engine.go) at every worker count: work units are
+// palComputeReference (trie_test.go) at every worker count: work units are
 // (chunk × root-subtree) cells writing disjoint node spans of their
 // chunk's scratch, and node partials merge in chunk-index order exactly
 // like the per-ordering kernel's chunk partials did.

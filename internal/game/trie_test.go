@@ -3,6 +3,7 @@ package game
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"auditgame/internal/dist"
@@ -69,15 +70,133 @@ func TestPalTrieMatchesReference(t *testing.T) {
 			p := Ordering(rng.Perm(tc.nT))
 			os = append(os, p, p[:rng.Intn(tc.nT)+1].Clone())
 		}
-		got := in.palCompute(os, b)
-		want := in.palComputeReference(os, b)
-		for k := range os {
-			for ty := 0; ty < tc.nT; ty++ {
-				if math.Float64bits(got[k][ty]) != math.Float64bits(want[k][ty]) {
-					t.Fatalf("nT=%d bank=%d: pal(os[%d])[%d] = %v (trie) vs %v (reference), ordering %v",
-						tc.nT, tc.bank, k, ty, got[k][ty], want[k][ty], os[k])
+		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			in.Workers = w
+			got := in.palCompute(os, b)
+			want := in.palComputeReference(os, b)
+			for k := range os {
+				for ty := 0; ty < tc.nT; ty++ {
+					if math.Float64bits(got[k][ty]) != math.Float64bits(want[k][ty]) {
+						t.Fatalf("nT=%d bank=%d workers=%d: pal(os[%d])[%d] = %v (trie) vs %v (reference), ordering %v",
+							tc.nT, tc.bank, w, k, ty, got[k][ty], want[k][ty], os[k])
+					}
 				}
 			}
+		}
+	}
+}
+
+// palComputeReference evaluates each ordering independently against the
+// realization matrix — the pre-trie kernel, kept here as the reference
+// implementation TestPalTrieMatchesReference pins palCompute (trie.go)
+// against, bit for bit.
+func (in *Instance) palComputeReference(os []Ordering, b Thresholds) [][]float64 {
+	nT := len(in.G.Types)
+	nRows := len(in.ws)
+	nChunks := (nRows + palChunkRows - 1) / palChunkRows
+
+	// Per-ordering constants hoisted out of the realization loop:
+	// position costs, audit caps ⌊b_t/C_t⌋, position thresholds, and the
+	// suffix-minimum cost that lets the kernel stop a row early once the
+	// remaining budget can't buy any further audit.
+	costs := make([][]float64, len(os))
+	caps := make([][]float64, len(os))
+	bpos := make([][]float64, len(os))
+	sufMin := make([][]float64, len(os))
+	for k, o := range os {
+		costs[k] = make([]float64, len(o))
+		caps[k] = make([]float64, len(o))
+		bpos[k] = make([]float64, len(o))
+		sufMin[k] = make([]float64, len(o))
+		for i, t := range o {
+			costs[k][i] = in.G.Types[t].Cost
+			caps[k][i] = math.Floor(b[t] / costs[k][i])
+			bpos[k][i] = b[t]
+		}
+		m := math.Inf(1)
+		for i := len(o) - 1; i >= 0; i-- {
+			if costs[k][i] < m {
+				m = costs[k][i]
+			}
+			sufMin[k][i] = m
+		}
+	}
+
+	// One serial pass per (chunk, ordering) cell, each writing its own
+	// nT-wide span of the chunk's partials: the chunking and merge order
+	// the trie kernel's determinism contract is stated against.
+	partials := make([][]float64, nChunks)
+	for c := range partials {
+		partials[c] = make([]float64, len(os)*nT)
+		lo := c * palChunkRows
+		hi := min(lo+palChunkRows, nRows)
+		for k, o := range os {
+			in.palChunk(lo, hi, o, costs[k], caps[k], bpos[k], sufMin[k], partials[c][k*nT:(k+1)*nT])
+		}
+	}
+
+	// Deterministic merge: chunk-index order.
+	backing := make([]float64, len(os)*nT)
+	out := make([][]float64, len(os))
+	for k := range os {
+		out[k] = backing[k*nT : (k+1)*nT : (k+1)*nT]
+	}
+	for c := 0; c < nChunks; c++ {
+		for i, v := range partials[c] {
+			backing[i] += v
+		}
+	}
+	return out
+}
+
+// palChunk accumulates the contribution of realization rows [lo, hi) for
+// one ordering into accRow (nT wide): the budget recursion of Eq. 1 walked
+// position by position, with the row bailing out once the remaining
+// budget is below the cheapest remaining audit cost.
+func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow []float64) {
+	nT := in.nT
+	budget := in.Budget
+	zs := in.zs
+	zrecip := in.zrecip
+	ws := in.ws
+	for zi := lo; zi < hi; zi++ {
+		base := zi * nT
+		row := zs[base : base+nT]
+		recip := zrecip[base : base+nT]
+		w := ws[zi]
+		spent := 0.0
+		for i, t := range o {
+			rem := budget - spent
+			if rem < mink[i] {
+				break // no remaining type can afford one audit
+			}
+			ct := ck[i]
+			var avail float64
+			if ct == 1 {
+				avail = math.Floor(rem)
+			} else {
+				avail = math.Floor(rem / ct)
+			}
+			zt := row[t]
+			ztEff := zt
+			if ztEff < 1 {
+				ztEff = 1
+			}
+			nt := avail
+			if c := capk[i]; c < nt {
+				nt = c
+			}
+			if ztEff < nt {
+				nt = ztEff
+			}
+			if nt > 0 {
+				accRow[t] += w * nt * recip[t]
+			}
+			s := zt * ct
+			if bt := bk[i]; bt < s {
+				s = bt
+			}
+			spent += s
 		}
 	}
 }

@@ -44,14 +44,14 @@ func TestSolveFixedWarmMatchesCold(t *testing.T) {
 	b := in.G.ThresholdCaps()
 	Q := allOrderings(len(in.G.Types))
 
-	cold, err := in.SolveFixed(Q, b)
+	cold, err := solveAt(in, Q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Basis == nil {
 		t.Fatal("cold solve reported no basis")
 	}
-	warm, err := in.SolveFixedWarm(Q, b, cold.Basis)
+	warm, err := solveAt(in, Q, b, cold.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,15 @@ func TestSolveFixedWarmAcrossGrownPool(t *testing.T) {
 	b := in.G.ThresholdCaps()
 	all := allOrderings(len(in.G.Types))
 
-	small, err := in.SolveFixed(all[:4], b)
+	small, err := solveAt(in, all[:4], b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := in.SolveFixed(all, b)
+	cold, err := solveAt(in, all, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := in.SolveFixedWarm(all, b, small.Basis)
+	warm, err := solveAt(in, all, b, small.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,16 +118,16 @@ func TestSolveFixedWarmAcrossRefitInstance(t *testing.T) {
 	b := SynA().ThresholdCaps()
 	Q := allOrderings(4)
 
-	before, err := mk(3.0).SolveFixed(Q, b)
+	before, err := solveAt(mk(3.0), Q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := mk(3.2)
-	cold, err := after.SolveFixed(Q, b)
+	cold, err := solveAt(after, Q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := after.SolveFixedWarm(Q, b, before.Basis)
+	warm, err := solveAt(after, Q, b, before.Basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +140,14 @@ func TestSolveFixedWarmRejectsWrongShape(t *testing.T) {
 	in := synAInstance(t)
 	b := in.G.ThresholdCaps()
 	Q := allOrderings(len(in.G.Types))
-	cold, err := in.SolveFixed(Q, b)
+	cold, err := solveAt(in, Q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A basis from a structurally different master (different row count)
 	// must be ignored, not crash or corrupt the solve.
 	bogus := &MasterBasis{numRows: cold.Basis.numRows + 3, rows: cold.Basis.rows}
-	warm, err := in.SolveFixedWarm(Q, b, bogus)
+	warm, err := solveAt(in, Q, b, bogus)
 	if err != nil {
 		t.Fatal(err)
 	}

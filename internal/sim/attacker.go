@@ -71,18 +71,15 @@ func (a *Attacker) Lag() int { return a.cfg.Lag }
 // Period runs one period's attack: best-respond to the lagged policy
 // under the true current model, mount if attacking beats refraining,
 // and sample the raised alert type. Returns nil when no attack is
-// mounted this period. in must be the true-model instance for period p
-// — the attacker evaluates detection odds against the workload as it
-// is, not as the host models it.
-func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Policy) (*Strike, error) {
+// mounted this period. g is the game and observed and serving are the
+// mixture detection vectors (mixedPal) of the lagged and the serving
+// policy on the true-model instance for period p — the attacker
+// evaluates detection odds against the workload as it is, not as the
+// host models it.
+func (a *Attacker) Period(g *auditgame.Game, observed, serving []float64) *Strike {
 	if a.cfg.PMount < 1 && a.rng.Float64() >= a.cfg.PMount {
-		return nil, nil
+		return nil
 	}
-	pal, err := mixedPal(in, lagged)
-	if err != nil {
-		return nil, err
-	}
-	g := in.G
 	bestE, bestV := -1, -1
 	bestUa := 0.0
 	if !g.AllowNoAttack {
@@ -90,14 +87,14 @@ func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Pol
 	}
 	for e := range g.Entities {
 		for v := range g.Victims {
-			if ua := attackUtility(g.Attacks[e][v], pal); ua > bestUa {
+			if ua := attackUtility(g.Attacks[e][v], observed); ua > bestUa {
 				bestUa, bestE, bestV = ua, e, v
 			}
 		}
 	}
 	if bestE < 0 {
 		a.Refrained++
-		return nil, nil
+		return nil
 	}
 	a.Mounted++
 
@@ -119,17 +116,13 @@ func (a *Attacker) Period(in *auditgame.Instance, lagged, serving *auditgame.Pol
 	// The model-side prediction uses the policy that actually answers
 	// this period — detection depends on what serves, not on what the
 	// attacker believed.
-	servPal, err := mixedPal(in, serving)
-	if err != nil {
-		return nil, err
-	}
 	for t, p := range atk.TypeProbs {
 		if p != 0 {
-			st.Predicted += p * servPal[t]
+			st.Predicted += p * serving[t]
 		}
 	}
 	a.PredictedSum += st.Predicted
-	return st, nil
+	return st
 }
 
 // Detect resolves the strike against the period's executed selection,
@@ -165,10 +158,9 @@ func attackUtility(atk auditgame.Attack, pal []float64) float64 {
 }
 
 // mixedPal computes the policy's mixture detection vector Σ_q po_q ·
-// pal(o_q, b)[t] on the given instance. Pal results are cached per
-// (instance, ordering, thresholds), so repeated evaluation across
-// periods with an unchanged model and policy costs one map lookup per
-// support ordering.
+// pal(o_q, b)[t] on the given instance, evaluating the support
+// orderings in one batch. The world keeps the result per (model, policy
+// version), so a model and policy pair is evaluated once per run.
 func mixedPal(in *auditgame.Instance, pol *auditgame.Policy) ([]float64, error) {
 	if pol == nil {
 		return nil, fmt.Errorf("sim: mixedPal needs a policy")
@@ -176,15 +168,15 @@ func mixedPal(in *auditgame.Instance, pol *auditgame.Policy) ([]float64, error) 
 	if len(pol.TypeNames) != in.G.NumTypes() {
 		return nil, fmt.Errorf("sim: policy covers %d types, instance has %d", len(pol.TypeNames), in.G.NumTypes())
 	}
-	mix := make([]float64, in.G.NumTypes())
+	Q := make([]auditgame.Ordering, len(pol.Orderings))
 	for qi, o := range pol.Orderings {
-		po := pol.Probs[qi]
-		if po == 0 {
-			continue
-		}
-		pal := in.Pal(auditgame.Ordering(o), auditgame.Thresholds(pol.Thresholds))
+		Q[qi] = o
+	}
+	mix := make([]float64, in.G.NumTypes())
+	// Zero-probability columns come back as nil rows and add nothing.
+	for qi, pal := range in.PalsFor(Q, pol.Probs, auditgame.Thresholds(pol.Thresholds)) {
 		for t, v := range pal {
-			mix[t] += po * v
+			mix[t] += pol.Probs[qi] * v
 		}
 	}
 	return mix, nil

@@ -217,6 +217,7 @@ func (scn Scenario) Run(ctx context.Context, opts Options) (*Result, error) {
 		trueInsts:  make(map[string]*auditgame.Instance),
 		optLoss:    make(map[string]float64),
 		servLoss:   make(map[string]float64),
+		mixPals:    make(map[string][]float64),
 		ctx:        ctx,
 	}
 

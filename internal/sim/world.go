@@ -39,10 +39,12 @@ type World struct {
 
 	// trueInsts caches the per-model evaluation instance; optLoss the
 	// clairvoyant loss per model; servLoss the serving policy's loss
+	// and mixPals a policy's mixture detection vector (mixedPal), both
 	// per (model, policy version).
 	trueInsts map[string]*auditgame.Instance
 	optLoss   map[string]float64
 	servLoss  map[string]float64
+	mixPals   map[string][]float64
 
 	points    []PeriodPoint
 	cumRegret float64
@@ -130,6 +132,21 @@ func (w *World) servingLoss(in *auditgame.Instance, key string, pol *auditgame.P
 	return l
 }
 
+// mixture returns the policy's mixture detection vector on the true
+// model, cached per (model, policy version).
+func (w *World) mixture(in *auditgame.Instance, key string, pol *auditgame.Policy, version uint64) ([]float64, error) {
+	ck := key + "#" + strconv.FormatUint(version, 10)
+	if mix, ok := w.mixPals[ck]; ok {
+		return mix, nil
+	}
+	mix, err := mixedPal(in, pol)
+	if err != nil {
+		return nil, err
+	}
+	w.mixPals[ck] = mix
+	return mix, nil
+}
+
 // period runs the period-p event body.
 func (w *World) period(p int) {
 	if w.err != nil {
@@ -147,14 +164,19 @@ func (w *World) period(p int) {
 	if obsPeriod < 0 {
 		obsPeriod = 0
 	}
-	lagged, _ := w.host.PolicyAt(obsPeriod)
+	lagged, lagVersion := w.host.PolicyAt(obsPeriod)
 	serving, version := w.host.PolicyAt(p)
-
-	strike, err := w.attacker.Period(in, lagged, serving)
+	observedPal, err := w.mixture(in, key, lagged, lagVersion)
 	if err != nil {
 		w.fail(err)
 		return
 	}
+	servingPal, err := w.mixture(in, key, serving, version)
+	if err != nil {
+		w.fail(err)
+		return
+	}
+	strike := w.attacker.Period(in.G, observedPal, servingPal)
 
 	counts, err := w.traffic.Sample(p, w.trafficRNG)
 	if err != nil {

@@ -78,14 +78,14 @@ func bruteForce(ctx context.Context, in *game.Instance, sweep bool) (result *Bru
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				lpres, err := in.SolveFixedPals(all, pg.Pals(ks))
+				lpres, err := in.SolveMaster(all, pg.Pals(ks), nil)
 				if err != nil {
 					return err
 				}
 				pol = &MixedPolicy{Q: all, Po: lpres.Po, Thresholds: b.Clone(), Objective: lpres.Objective}
 			} else {
 				var err error
-				pol, err = exact(ctx, in, all, b, true)
+				pol, err = exact(ctx, in, all, b)
 				if err != nil {
 					return err
 				}

@@ -7,6 +7,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"auditgame/internal/game"
@@ -65,11 +66,6 @@ type CGGSOptions struct {
 	// The paper's Algorithm 1 is greedy-only (the default); this switch
 	// exists for the column-oracle ablation.
 	ExhaustiveOracle bool
-	// ReferenceOracle prices greedy columns with the non-incremental
-	// batched oracle instead of the prefix-checkpoint pricer. Both emit
-	// bitwise-identical columns; this switch exists as the fallback and
-	// for the oracle-equivalence ablation.
-	ReferenceOracle bool
 }
 
 func (o CGGSOptions) withDefaults(numTypes int) CGGSOptions {
@@ -94,10 +90,13 @@ type CGGSStats struct {
 	// Pivots is the cumulative simplex pivot count across all master
 	// solves.
 	Pivots int `json:"pivots"`
-	// PalEvals is the increase in the instance's uncached
-	// detection-probability evaluations over the solve. On an instance
-	// shared with concurrent solvers this attributes their evaluations
-	// too; benchmarks use a fresh instance per solve.
+	// PalEvals is the number of orderings the detection-probability
+	// kernel evaluated on the instance over the solve (Instance.PalEvals):
+	// one per column, evaluated when it enters the master, plus any
+	// parked or exhaustively priced ordering. The incremental pricing
+	// oracle's candidate extensions are counted by PrefixHits instead.
+	// On an instance shared with concurrent solvers this attributes
+	// their evaluations too; benchmarks use a fresh instance per solve.
 	PalEvals int `json:"pal_evals"`
 	// PrefixHits counts candidate extensions the incremental oracle
 	// priced from a prefix checkpoint (one O(rows) appended-position
@@ -136,28 +135,23 @@ func CGGSWithStats(ctx context.Context, in *game.Instance, b game.Thresholds, op
 // types. It is exponential in |T| and refuses |T| > 8; use CGGS beyond
 // that. This is the "solving the linear program to optimality" inner
 // solver used for Tables III, IV and VI (γ¹). The context is checked on
-// entry; the single SolveFixed over all orderings is not interruptible.
+// entry; the single master solve over all orderings is not
+// interruptible.
 func Exact(ctx context.Context, in *game.Instance, b game.Thresholds) (*MixedPolicy, error) {
-	return exact(ctx, in, game.AllOrderings(in.G.NumTypes()), b, false)
+	return exact(ctx, in, game.AllOrderings(in.G.NumTypes()), b)
 }
 
 // exact is Exact with the ordering enumeration hoisted (BruteForce
-// enumerates once for thousands of grid points) and a cache policy
-// switch. Iterative callers (ISHM) revisit threshold vectors across
-// shrink rounds and want the pal cache; grid sweeps visit each vector
-// exactly once, for which caching is pure map and GC pressure — they
-// pass ephemeral=true.
-func exact(ctx context.Context, in *game.Instance, all []game.Ordering, b game.Thresholds, ephemeral bool) (pol *MixedPolicy, err error) {
+// enumerates once for thousands of grid points).
+func exact(ctx context.Context, in *game.Instance, all []game.Ordering, b game.Thresholds) (pol *MixedPolicy, err error) {
 	defer contain("exact", &err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var res *game.LPResult
-	if ephemeral {
-		res, err = in.SolveFixedEphemeral(all, b)
-	} else {
-		res, err = in.SolveFixed(all, b)
+	if len(b) != in.G.NumTypes() {
+		return nil, fmt.Errorf("solver: thresholds have %d entries, want |T| = %d", len(b), in.G.NumTypes())
 	}
+	res, err := in.SolveMaster(all, in.PalBatch(all, b), nil)
 	if err != nil {
 		return nil, err
 	}

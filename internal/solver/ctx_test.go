@@ -52,7 +52,7 @@ func TestISHMCancelMidSearch(t *testing.T) {
 			return Exact(context.Background(), in, b)
 		}
 		_, err := ISHM(ctx, in, ISHMOptions{
-			Epsilon: 0.25, Inner: inner, EvaluateInitial: true, Memoize: true, Workers: workers,
+			Epsilon: 0.25, Inner: inner, EvaluateInitial: true, Workers: workers,
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)

@@ -117,7 +117,7 @@ func DescentVsISHM(ctx context.Context, in *game.Instance, epsilon float64) (*Gr
 	if err != nil {
 		return nil, nil, fmt.Errorf("solver: descent: %w", err)
 	}
-	is, err := ISHM(ctx, in, ISHMOptions{Epsilon: epsilon, EvaluateInitial: true, Memoize: true})
+	is, err := ISHM(ctx, in, ISHMOptions{Epsilon: epsilon, EvaluateInitial: true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("solver: ishm: %w", err)
 	}

@@ -35,9 +35,6 @@ type ISHMOptions struct {
 	// but returning a threshold vector worse than the starting point is
 	// never useful, so the harness enables it.
 	EvaluateInitial bool
-	// Memoize answers repeated threshold vectors from a cache. It only
-	// affects speed, never results.
-	Memoize bool
 	// MaxSubset caps the shrink-subset size lh (0 means |T|, the full
 	// Algorithm 2 search). The confirmation sweep at level lh costs
 	// C(|T|, lh)·⌈1/ε⌉ inner solves, so capping trades a little
@@ -89,14 +86,12 @@ func ISHM(ctx context.Context, in *game.Instance, opts ISHMOptions) (res *ISHMRe
 	cur := game.Thresholds(caps).Clone()
 
 	result := &ISHMResult{}
+	// memo answers repeated threshold vectors. Under Workers > 1 two
+	// concurrent evaluations of one vector can both miss it; both
+	// results are identical, so the second store is harmless and the
+	// memo's size stays the count of distinct vectors.
 	var memoMu sync.Mutex
 	memo := map[string]*MixedPolicy{}
-	// seen tracks distinct submitted vectors for UniqueEvaluations.
-	// Counting distinct keys (rather than memo misses) keeps the count
-	// deterministic under Workers > 1: two concurrent evaluations of the
-	// same vector can both miss the memo, but only the first increments
-	// the unique count.
-	seen := map[string]bool{}
 	eval := func(b game.Thresholds) (*MixedPolicy, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -104,15 +99,9 @@ func ISHM(ctx context.Context, in *game.Instance, opts ISHMOptions) (res *ISHMRe
 		key := b.Key()
 		memoMu.Lock()
 		result.Evaluations++
-		if !seen[key] {
-			seen[key] = true
-			result.UniqueEvaluations++
-		}
-		if opts.Memoize {
-			if pol, ok := memo[key]; ok {
-				memoMu.Unlock()
-				return pol, nil
-			}
+		if pol, ok := memo[key]; ok {
+			memoMu.Unlock()
+			return pol, nil
 		}
 		memoMu.Unlock()
 
@@ -120,11 +109,9 @@ func ISHM(ctx context.Context, in *game.Instance, opts ISHMOptions) (res *ISHMRe
 		if err != nil {
 			return nil, err
 		}
-		if opts.Memoize {
-			memoMu.Lock()
-			memo[key] = pol
-			memoMu.Unlock()
-		}
+		memoMu.Lock()
+		memo[key] = pol
+		memoMu.Unlock()
 		return pol, nil
 	}
 
@@ -206,6 +193,7 @@ func ISHM(ctx context.Context, in *game.Instance, opts ISHMOptions) (res *ISHMRe
 		best = pol
 	}
 	result.Policy = best
+	result.UniqueEvaluations = len(memo)
 	return result, nil
 }
 

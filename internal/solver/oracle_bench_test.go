@@ -18,14 +18,14 @@ func BenchmarkGreedyOracle(b *testing.B) {
 	for _, nT := range []int{8, 16, 32, 48} {
 		in, thr := oracleTestInstance(b, "scaled", workload.Scale{Entities: 400, AlertTypes: nT, Seed: 9}, 512)
 		seedQ := []game.Ordering{BenefitOrdering(in.G)}
-		res, err := in.SolveFixed(seedQ, thr)
+		res, err := in.SolveMaster(seedQ, in.PalBatch(seedQ, thr), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("T%d/incremental", nT), func(b *testing.B) {
 			var st oracleStats
 			for i := 0; i < b.N; i++ {
-				if _, _, err := greedyOrderingIncremental(in, res, thr, 1e-7, &st); err != nil {
+				if _, _, err := greedyOrdering(in, res, thr, 1e-7, &st); err != nil {
 					b.Fatal(err)
 				}
 			}

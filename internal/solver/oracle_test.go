@@ -33,8 +33,9 @@ func oracleTestInstance(t testing.TB, name string, sc workload.Scale, bank int) 
 }
 
 // TestOracleEquivalenceGolden pins the incremental oracle against the
-// reference oracle end to end: on every workload the two CGGS runs must
-// emit the identical column sequence, the same loss to 1e-9 (they agree
+// reference oracle end to end: on every workload, CGGS at 1, 4 and
+// GOMAXPROCS workers and the reference column-generation loop must emit
+// the identical column sequence, the same loss to 1e-9 (they agree
 // bitwise in practice), and bitwise-identical pal vectors per column.
 func TestOracleEquivalenceGolden(t *testing.T) {
 	cases := []struct {
@@ -50,39 +51,94 @@ func TestOracleEquivalenceGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inInc, b := oracleTestInstance(t, tc.name, tc.sc, tc.bank)
-			inRef, _ := oracleTestInstance(t, tc.name, tc.sc, tc.bank)
-			ctx := context.Background()
-			polInc, _, err := CGGSWithStats(ctx, inInc, b, CGGSOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			polRef, _, err := CGGSWithStats(ctx, inRef, b, CGGSOptions{ReferenceOracle: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(polInc.Q) != len(polRef.Q) {
-				t.Fatalf("%s: %d columns (incremental) vs %d (reference)", tc.name, len(polInc.Q), len(polRef.Q))
-			}
-			for i := range polInc.Q {
-				if polInc.Q[i].Key() != polRef.Q[i].Key() {
-					t.Fatalf("%s: column %d diverged: %v vs %v", tc.name, i, polInc.Q[i], polRef.Q[i])
-				}
-			}
-			if math.Abs(polInc.Objective-polRef.Objective) > 1e-9 {
-				t.Fatalf("%s: loss %v (incremental) vs %v (reference)", tc.name, polInc.Objective, polRef.Objective)
-			}
-			palsInc := inInc.PalBatch(polInc.Q, b)
+			inRef, b := oracleTestInstance(t, tc.name, tc.sc, tc.bank)
+			polRef := referenceCGGS(t, inRef, b)
 			palsRef := inRef.PalBatch(polRef.Q, b)
-			for i := range palsInc {
-				for ty := range palsInc[i] {
-					if math.Float64bits(palsInc[i][ty]) != math.Float64bits(palsRef[i][ty]) {
-						t.Fatalf("%s: pal(Q[%d])[%d] = %v vs %v", tc.name, i, ty, palsInc[i][ty], palsRef[i][ty])
+			for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				inInc, _ := oracleTestInstance(t, tc.name, tc.sc, tc.bank)
+				inInc.Workers = w
+				polInc, err := CGGS(context.Background(), inInc, b, CGGSOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(polInc.Q) != len(polRef.Q) {
+					t.Fatalf("%s workers=%d: %d columns (incremental) vs %d (reference)", tc.name, w, len(polInc.Q), len(polRef.Q))
+				}
+				for i := range polInc.Q {
+					if polInc.Q[i].Key() != polRef.Q[i].Key() {
+						t.Fatalf("%s workers=%d: column %d diverged: %v vs %v", tc.name, w, i, polInc.Q[i], polRef.Q[i])
+					}
+				}
+				if math.Abs(polInc.Objective-polRef.Objective) > 1e-9 {
+					t.Fatalf("%s workers=%d: loss %v (incremental) vs %v (reference)", tc.name, w, polInc.Objective, polRef.Objective)
+				}
+				palsInc := inInc.PalBatch(polInc.Q, b)
+				for i := range palsInc {
+					for ty := range palsInc[i] {
+						if math.Float64bits(palsInc[i][ty]) != math.Float64bits(palsRef[i][ty]) {
+							t.Fatalf("%s workers=%d: pal(Q[%d])[%d] = %v vs %v", tc.name, w, i, ty, palsInc[i][ty], palsRef[i][ty])
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// referenceCGGS is a cold column-generation loop over the reference
+// oracle: the master over the pool (warm-chaining the basis between
+// rounds, as SolveState does), then one greedy column per round until
+// the column stops pricing below −Eps or is already pooled.
+func referenceCGGS(t *testing.T, in *game.Instance, b game.Thresholds) *MixedPolicy {
+	t.Helper()
+	opts := CGGSOptions{}.withDefaults(in.G.NumTypes())
+	Q := []game.Ordering{BenefitOrdering(in.G)}
+	inQ := map[string]bool{Q[0].Key(): true}
+	pals := in.PalBatch(Q, b)
+	var basis *game.MasterBasis
+	for {
+		res, err := in.SolveMaster(Q, pals, basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		basis = res.Basis
+		o, rc := greedyOrderingReference(in, res, b)
+		if len(Q) >= opts.MaxColumns || rc >= -opts.Eps || inQ[o.Key()] {
+			return &MixedPolicy{Q: Q, Po: res.Po, Thresholds: b.Clone(), Objective: res.Objective}
+		}
+		Q = append(Q, o)
+		inQ[o.Key()] = true
+		pals = append(pals, in.Pal(o, b))
+	}
+}
+
+// greedyOrderingReference is the non-incremental oracle: all one-type
+// extensions of each step priced as one batch, every candidate's prefix
+// re-walked in full by the kernel. It returns the greedy column and its
+// reduced cost.
+func greedyOrderingReference(in *game.Instance, res *game.LPResult, b game.Thresholds) (game.Ordering, float64) {
+	nT := in.G.NumTypes()
+	partial := make(game.Ordering, 0, nT)
+	used := make([]bool, nT)
+	var bestRC float64
+	for len(partial) < nT {
+		var cands []game.Ordering
+		for t := 0; t < nT; t++ {
+			if !used[t] {
+				cands = append(cands, append(partial.Clone(), t))
+			}
+		}
+		bestT := -1
+		bestRC = math.Inf(1)
+		for j, pal := range in.PalBatch(cands, b) {
+			if rc := in.ReducedCost(res, pal); rc < bestRC {
+				bestRC, bestT = rc, cands[j][len(partial)]
+			}
+		}
+		partial = append(partial, bestT)
+		used[bestT] = true
+	}
+	return partial, bestRC
 }
 
 // TestOracleDeterminismAcrossWorkers is the worker-count hammer: the
@@ -100,9 +156,15 @@ func TestOracleDeterminismAcrossWorkers(t *testing.T) {
 	for _, w := range workerCounts {
 		in, b := oracleTestInstance(t, "scaled", workload.Scale{Entities: 400, AlertTypes: 24, Seed: 7}, 1500)
 		in.Workers = w
-		pol, err := CGGS(context.Background(), in, b, CGGSOptions{})
+		pol, stats, err := CGGSWithStats(context.Background(), in, b, CGGSOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The incremental oracle is in use, and its candidates never
+		// reach the kernel: a cold solve evaluates each column once.
+		if stats.PrefixHits == 0 || stats.PalEvals != stats.Columns {
+			t.Fatalf("workers=%d: %d prefix hits, %d pal evals for %d columns; want hits > 0 and one eval per column",
+				w, stats.PrefixHits, stats.PalEvals, stats.Columns)
 		}
 		o := outcome{obj: pol.Objective, po: pol.Po}
 		for _, q := range pol.Q {
@@ -157,7 +219,7 @@ func TestOraclePruningSound(t *testing.T) {
 func crossCheckGreedySteps(t *testing.T, in *game.Instance, b game.Thresholds, seedQ []game.Ordering, budget float64) {
 	t.Helper()
 	nT := in.G.NumTypes()
-	res, err := in.SolveFixed(seedQ, b)
+	res, err := in.SolveMaster(seedQ, in.PalBatch(seedQ, b), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +249,10 @@ func crossCheckGreedySteps(t *testing.T, in *game.Instance, b game.Thresholds, s
 				budget, step, out.Evaluated, out.Pruned, len(cands))
 		}
 		totalPruned += out.Pruned
-		rcs := in.ReducedCostBatchNoCache(res, ext, b)
+		var rcs []float64
+		for _, pal := range in.PalBatch(ext, b) {
+			rcs = append(rcs, in.ReducedCost(res, pal))
+		}
 		wantT, wantRC := -1, math.Inf(1)
 		for j, rc := range rcs {
 			if rc < wantRC {
@@ -205,32 +270,6 @@ func crossCheckGreedySteps(t *testing.T, in *game.Instance, b game.Thresholds, s
 		used[out.BestType] = true
 	}
 	t.Logf("B=%v: %d candidates pruned across %d steps", budget, totalPruned, nT)
-}
-
-// TestOracleCacheBounded asserts the incremental oracle leaves no
-// footprint in the instance's pal cache across a scaled solve: cached
-// orderings stay within the column pool, nowhere near the ~|T|²/2
-// candidate prefixes priced per generated column.
-func TestOracleCacheBounded(t *testing.T) {
-	in, b := oracleTestInstance(t, "scaled", workload.Scale{Entities: 400, AlertTypes: 24, Seed: 5}, 512)
-	_, stats, err := CGGSWithStats(context.Background(), in, b, CGGSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pals, ords, thrs := in.CacheStats()
-	if ords > stats.Columns+2 {
-		t.Fatalf("cache holds %d orderings for a %d-column solve — oracle candidates are leaking into the cache",
-			ords, stats.Columns)
-	}
-	if pals > stats.Columns+2 {
-		t.Fatalf("cache holds %d pal entries for a %d-column solve", pals, stats.Columns)
-	}
-	if thrs > 2 {
-		t.Fatalf("cache holds %d threshold vectors for a fixed-threshold solve", thrs)
-	}
-	if stats.PrefixHits == 0 {
-		t.Fatal("incremental oracle reported zero prefix-checkpoint evaluations")
-	}
 }
 
 // TestBruteForceSweepMatchesPerPoint pins the grid-swept brute force

@@ -14,13 +14,13 @@ func TestISHMParallelMatchesSerial(t *testing.T) {
 		serialIn := testInstance(t, budget)
 		parallelIn := testInstance(t, budget)
 		serial, err := ISHM(context.Background(), serialIn, ISHMOptions{
-			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true, Memoize: true,
+			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parallel, err := ISHM(context.Background(), parallelIn, ISHMOptions{
-			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true, Memoize: true, Workers: 8,
+			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true, Workers: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestISHMDeterministicAcrossWorkers(t *testing.T) {
 		in := testInstance(t, 3)
 		in.Workers = workers
 		res, err := ISHM(context.Background(), in, ISHMOptions{
-			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true, Memoize: true,
+			Epsilon: 0.2, Inner: ExactInner, EvaluateInitial: true,
 			Workers: workers,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -151,6 +152,29 @@ func TestCGGSInitialOrderingValidation(t *testing.T) {
 	}
 }
 
+// TestThresholdLengthValidation pins the threshold-length check of the
+// two master-LP entry points that build the pal matrix themselves: a
+// vector that does not cover every alert type is refused with an error,
+// not a kernel panic.
+func TestThresholdLengthValidation(t *testing.T) {
+	in := testInstance(t, 3)
+	b := game.Thresholds{2, 2}
+	solves := map[string]func() error{
+		"Exact": func() error { _, err := Exact(context.Background(), in, b); return err },
+		"SolveState.Solve": func() error {
+			_, err := NewSolveState(CGGSOptions{}).Solve(context.Background(), in, b)
+			return err
+		},
+	}
+	for name, solve := range solves {
+		err := solve()
+		var se *SolveError
+		if !errors.As(err, &se) || se.Kind == FailPanic {
+			t.Fatalf("%s with %d thresholds for %d types = %v, want a non-panic *SolveError", name, len(b), in.G.NumTypes(), err)
+		}
+	}
+}
+
 func TestCGGSDeterministic(t *testing.T) {
 	in := testInstance(t, 3)
 	b := game.Thresholds{2, 2, 2}
@@ -266,7 +290,7 @@ func TestISHMFindsNearOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.1, Inner: ExactInner, EvaluateInitial: true, Memoize: true})
+	res, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.1, Inner: ExactInner, EvaluateInitial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +338,11 @@ func TestISHMSmallerEpsilonNoWorse(t *testing.T) {
 	// Finer steps explore a superset of ratios; on this instance the
 	// finer search should not be substantially worse.
 	in := testInstance(t, 3)
-	fine, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.1, Inner: ExactInner, EvaluateInitial: true, Memoize: true})
+	fine, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.1, Inner: ExactInner, EvaluateInitial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.5, Inner: ExactInner, EvaluateInitial: true, Memoize: true})
+	coarse, err := ISHM(context.Background(), in, ISHMOptions{Epsilon: 0.5, Inner: ExactInner, EvaluateInitial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"weak"
 
 	"auditgame/internal/fault"
 	"auditgame/internal/game"
@@ -45,6 +47,13 @@ type SolveState struct {
 	rc          []float64 // last-solve reduced cost per pool column
 	basis       *game.MasterBasis
 	dualScale   float64
+
+	// pals[i] is pool[i]'s detection-probability vector on in, the
+	// instance of the last successful solve, at thresholds. PolicyLoss
+	// answers from them; the weak pointer identifies in without keeping
+	// a refit instance the caller discarded alive.
+	pals [][]float64
+	in   weak.Pointer[game.Instance]
 
 	stats CGGSStats
 	warm  WarmStats
@@ -88,10 +97,9 @@ func (st *SolveState) Columns() int { return len(st.pool) }
 // invalidates the persisted warm state so the next solve falls back
 // cold. The invalidation is deliberately conservative: the state fields
 // themselves are replaced only on success, but a failure mid-solve may
-// leave caches (the instance's pal tables, a partially-consumed pool
-// slice) in a shape the screening bounds were never priced against, and
-// a cold re-solve costs time where a poisoned warm start could cost
-// correctness.
+// leave a partially-consumed pool slice in a shape the screening bounds
+// were never priced against, and a cold re-solve costs time where a
+// poisoned warm start could cost correctness.
 func (st *SolveState) contain(op string, errp *error) {
 	if r := recover(); r != nil {
 		*errp = panicToError(op, r)
@@ -114,6 +122,12 @@ func (st *SolveState) Solve(ctx context.Context, in *game.Instance, b game.Thres
 	}
 	if !initial.ValidPermutation(nT) {
 		return nil, fmt.Errorf("solver: initial ordering %v is not a permutation of %d types", initial, nT)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(b) != nT {
+		return nil, fmt.Errorf("solver: thresholds have %d entries, want |T| = %d", len(b), nT)
 	}
 	st.warm = WarmStats{}
 	active := []game.Ordering{initial.Clone()}
@@ -189,6 +203,15 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 	palEvals0 := in.PalEvals()
 	Q := active
 
+	// The solve keeps the detection-probability vector of every column
+	// it prices more than once: qPals[i] belongs to Q[i] and is
+	// evaluated when the column enters the master, parkedPals[j] belongs
+	// to parked[j] and is evaluated at the termination net's first pass,
+	// and both serve every later round and the final pool pricing. The
+	// exhaustive oracle keeps its own vectors, by ordering key.
+	var qPals, parkedPals [][]float64
+	var exhaustive map[string][]float64
+
 	// Trace spans make the solve timeline observable end to end: one
 	// "cggs.master" span (value = simplex pivots) and one "cggs.price"
 	// span (value = pool size) per pricing round, plus one-shot spans
@@ -206,7 +229,8 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		}
 		var err error
 		sp := tr.StartSpan("cggs.master")
-		res, err = in.SolveFixedWarm(Q, b, basis)
+		qPals = append(qPals, in.PalBatch(Q[len(qPals):], b)...)
+		res, err = in.SolveMaster(Q, qPals, basis)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +251,7 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		// already certifies that nothing prices below −Eps, which lands
 		// in the same termination arm as a non-improving column.
 		sp = tr.StartSpan("cggs.price")
-		partial, rc, err := greedyOrdering(in, res, b, opts, &oStats)
+		partial, rc, err := greedyOrdering(in, res, b, opts.Eps, &oStats)
 		sp.EndValue(int64(len(Q)))
 		if err != nil {
 			return nil, err
@@ -242,20 +266,30 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		// optimality (or find a column the greedy oracle missed) by
 		// pricing every ordering in one batch.
 		if opts.ExhaustiveOracle && nT <= 8 {
-			var all []game.Ordering
+			if exhaustive == nil {
+				exhaustive = make(map[string][]float64)
+			}
+			var all, fresh []game.Ordering
 			for _, o := range game.AllOrderings(nT) {
-				if !inQ[o.Key()] {
+				if k := o.Key(); !inQ[k] {
 					all = append(all, o)
+					if exhaustive[k] == nil {
+						fresh = append(fresh, o)
+					}
 				}
 			}
+			for j, pal := range in.PalBatch(fresh, b) {
+				exhaustive[fresh[j].Key()] = pal
+			}
 			bestRC, bestO := math.Inf(1), game.Ordering(nil)
-			for j, c := range in.ReducedCostBatch(res, all, b) {
-				if c < bestRC {
-					bestRC, bestO = c, all[j]
+			for _, o := range all {
+				if c := in.ReducedCost(res, exhaustive[o.Key()]); c < bestRC {
+					bestRC, bestO = c, o
 				}
 			}
 			if bestO != nil && bestRC < -opts.Eps {
 				Q = append(Q, bestO)
+				qPals = append(qPals, exhaustive[bestO.Key()])
 				inQ[bestO.Key()] = true
 				continue
 			}
@@ -265,28 +299,30 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		// reduced costs from the old model; before accepting
 		// termination, re-price all of them exactly under the current
 		// duals and pull in any that actually price negative. Repeated
-		// passes are nearly free — the first evaluation populates the
-		// new instance's pal cache.
+		// passes reuse the vectors the first pass evaluated.
 		if len(parked) > 0 {
 			st.warm.ColumnsReevaluated = len(parked)
 			psp := tr.StartSpan("cggs.parked_reprice")
-			rcs := in.ReducedCostBatch(res, parked, b)
+			if parkedPals == nil {
+				parkedPals = in.PalBatch(parked, b)
+			}
 			psp.EndValue(int64(len(parked)))
-			keep := parked[:0]
+			keep, keepPals := parked[:0], parkedPals[:0]
 			pulled := false
-			for j, c := range rcs {
-				o := parked[j]
+			for j, o := range parked {
 				switch {
 				case inQ[o.Key()]: // regenerated by the oracle meanwhile
-				case c < -opts.Eps:
+				case in.ReducedCost(res, parkedPals[j]) < -opts.Eps:
 					Q = append(Q, o)
+					qPals = append(qPals, parkedPals[j])
 					inQ[o.Key()] = true
 					pulled = true
 				default:
 					keep = append(keep, o)
+					keepPals = append(keepPals, parkedPals[j])
 				}
 			}
-			parked = keep
+			parked, parkedPals = keep, keepPals
 			if pulled {
 				continue
 			}
@@ -296,12 +332,22 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 
 	pol := &MixedPolicy{Q: Q, Po: res.Po, Thresholds: b.Clone(), Objective: res.Objective}
 
+	// The column cap can end the loop before the termination net priced
+	// the parked columns.
+	if len(parkedPals) != len(parked) {
+		parkedPals = in.PalBatch(parked, b)
+	}
+
 	// Persist: the pool is the active set plus whatever stayed parked,
 	// re-priced under the final duals so the next refit screens against
 	// fresh numbers. Cap the carried pool so repeated refits cannot grow
 	// it without bound — worst-priced parked columns are dropped first.
 	pool := append(append([]game.Ordering(nil), Q...), parked...)
-	rc := in.ReducedCostBatch(res, pool, b)
+	pals := append(qPals, parkedPals...)
+	rc := make([]float64, len(pool))
+	for i, pal := range pals {
+		rc[i] = in.ReducedCost(res, pal)
+	}
 	if maxPool := 2 * opts.MaxColumns; len(pool) > maxPool {
 		idx := make([]int, len(pool))
 		for i := range idx {
@@ -312,14 +358,16 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 		sort.SliceStable(idx[len(Q):], func(x, y int) bool {
 			return rc[idx[len(Q)+x]] < rc[idx[len(Q)+y]]
 		})
-		np, nr := make([]game.Ordering, maxPool), make([]float64, maxPool)
+		np, nr, npals := make([]game.Ordering, maxPool), make([]float64, maxPool), make([][]float64, maxPool)
 		for i := 0; i < maxPool; i++ {
-			np[i], nr[i] = pool[idx[i]], rc[idx[i]]
+			np[i], nr[i], npals[i] = pool[idx[i]], rc[idx[i]], pals[idx[i]]
 		}
-		pool, rc = np, nr
+		pool, rc, pals = np, nr, npals
 	}
 	st.pool = pool
 	st.rc = rc
+	st.pals = pals
+	st.in = weak.Make(in)
 	st.basis = res.Basis
 	st.dualScale = in.DualPricingScale(res)
 	st.fingerprint = in.StructuralFingerprint()
@@ -333,4 +381,38 @@ func (st *SolveState) run(ctx context.Context, in *game.Instance, b game.Thresho
 	st.stats = stats
 	st.warm.PricingRounds = stats.MasterSolves
 	return pol, nil
+}
+
+// PolicyLoss evaluates pol's expected loss on in — Instance.Loss — as
+// a contained entry point: a panic in the kernel comes back as a
+// *SolveError. When in is the instance of the state's last successful
+// solve and pol shares its thresholds, support columns in the pool take
+// the vectors that solve evaluated, so a refit gate scoring the refit
+// policy and the incumbent re-evaluates no column the solve priced. A
+// nil state evaluates every support column.
+func (st *SolveState) PolicyLoss(in *game.Instance, pol *MixedPolicy) (loss float64, err error) {
+	defer contain("policy.loss", &err)
+	pals := make([][]float64, len(pol.Q))
+	var idx []int
+	var miss []game.Ordering
+	var pooled map[string][]float64
+	if st != nil && st.in == weak.Make(in) && slices.Equal(st.thresholds, pol.Thresholds) {
+		pooled = make(map[string][]float64, len(st.pool))
+		for i, o := range st.pool {
+			pooled[o.Key()] = st.pals[i]
+		}
+	}
+	for i, o := range pol.Q {
+		if pol.Po[i] == 0 {
+			continue
+		}
+		if pals[i] = pooled[o.Key()]; pals[i] == nil {
+			idx = append(idx, i)
+			miss = append(miss, o)
+		}
+	}
+	for j, pal := range in.PalBatch(miss, pol.Thresholds) {
+		pals[idx[j]] = pal
+	}
+	return in.LossFromPals(pol.Po, pals), nil
 }

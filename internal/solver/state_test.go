@@ -3,12 +3,14 @@ package solver
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"auditgame/internal/dist"
 	"auditgame/internal/game"
 	"auditgame/internal/refit"
 	"auditgame/internal/sample"
+	"auditgame/internal/workload"
 )
 
 // driftedGame is testGame with the count model nudged: the empirical
@@ -208,5 +210,105 @@ func TestSolveStateRepeatedRefitsStayBounded(t *testing.T) {
 		if st.Columns() > cap {
 			t.Fatalf("refit %d: pool grew to %d (> cap %d)", i, st.Columns(), cap)
 		}
+	}
+}
+
+// TestSolveStatePoolVectorsMatchKernel pins the per-pool-column vectors
+// the state keeps for PolicyLoss: after a solve there is one per pool
+// column, bitwise equal to the kernel's — also when a refit stops at
+// the column cap before the termination net priced the parked columns,
+// and when the pool is cut to its cap.
+func TestSolveStatePoolVectorsMatchKernel(t *testing.T) {
+	ctx := context.Background()
+	sc := workload.Scale{Entities: 400, AlertTypes: 24, Seed: 7}
+	check := func(stage string, st *SolveState, in *game.Instance, b game.Thresholds) {
+		t.Helper()
+		if len(st.pals) != len(st.pool) {
+			t.Fatalf("%s: %d pool vectors for %d pool columns", stage, len(st.pals), len(st.pool))
+		}
+		for j, o := range st.pool {
+			if want := in.Pal(o, b); !slices.Equal(st.pals[j], want) {
+				t.Fatalf("%s: pool column %v has vector %v, kernel %v", stage, o, st.pals[j], want)
+			}
+		}
+	}
+
+	in, b := oracleTestInstance(t, "scaled", sc, 1500)
+	st := NewSolveState(CGGSOptions{})
+	if _, err := st.Solve(ctx, in, b); err != nil {
+		t.Fatal(err)
+	}
+	check("cold solve", st, in, b)
+
+	// Park every pooled column but the last and cap the master at two
+	// columns: the refit ends at the cap, before the termination net
+	// prices the parked columns, and the pool is cut to four columns
+	// (the master's two and the two best-priced parked ones).
+	for i := 0; i < len(st.rc)-1; i++ {
+		st.rc[i] = math.Inf(1)
+	}
+	st.opts.MaxColumns = 2
+	rin, _ := oracleTestInstance(t, "scaled", sc, 1500)
+	if _, err := st.Refit(ctx, rin, b, make([]float64, len(b))); err != nil {
+		t.Fatal(err)
+	}
+	if ws := st.WarmStats(); ws.ColumnsReused != 1 || ws.ColumnsParked < 2 || ws.ColumnsReevaluated != 0 {
+		t.Fatalf("refit warm stats %+v, want one active column and parked columns the termination net never priced", ws)
+	}
+	if st.Columns() != 4 {
+		t.Fatalf("refit kept %d pool columns, want the cap of 4", st.Columns())
+	}
+	check("capped refit", st, rin, b)
+}
+
+// TestSolveStatePolicyLossReusesPool pins the refit gate's scoring: on
+// the instance of the state's last solve, a policy over pool columns is
+// scored bitwise-equal to Instance.Loss without a kernel call; on any
+// other instance, or at other thresholds, its support is evaluated.
+func TestSolveStatePolicyLossReusesPool(t *testing.T) {
+	ctx := context.Background()
+	b := game.Thresholds{2, 2, 2}
+	in := instanceOf(t, testGame(), 2)
+	st := NewSolveState(CGGSOptions{})
+	pol, err := st.Solve(ctx, in, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := in.Loss(pol.Q, pol.Po, pol.Thresholds)
+	support := 0
+	for _, p := range pol.Po {
+		if p != 0 {
+			support++
+		}
+	}
+
+	evals := in.PalEvals()
+	got, err := st.PolicyLoss(in, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PolicyLoss = %v, want Loss = %v", got, want)
+	}
+	if n := in.PalEvals() - evals; n != 0 {
+		t.Fatalf("PolicyLoss on the solve's instance evaluated %d orderings, want 0", n)
+	}
+
+	other := instanceOf(t, testGame(), 2)
+	if got, err := st.PolicyLoss(other, pol); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PolicyLoss on a twin instance = (%v, %v), want %v", got, err, want)
+	}
+	if n := other.PalEvals(); n != support {
+		t.Fatalf("PolicyLoss on a twin instance evaluated %d orderings, want the %d support columns", n, support)
+	}
+
+	shifted := *pol
+	shifted.Thresholds = game.Thresholds{1, 2, 2}
+	evals = in.PalEvals()
+	if _, err := st.PolicyLoss(in, &shifted); err != nil {
+		t.Fatal(err)
+	}
+	if n := in.PalEvals() - evals; n != support {
+		t.Fatalf("PolicyLoss at other thresholds evaluated %d orderings, want %d", n, support)
 	}
 }

@@ -418,12 +418,22 @@ func (a *Auditor) Refit(ctx context.Context) (*RefitOutcome, error) {
 	// evaluation: a truncated column-generation solve's objective is a
 	// restricted-master bound that can understate the candidate's true
 	// loss, so comparing it against the incumbent's Loss would bias the
-	// gate toward installing.
+	// gate toward installing. A column-generation session answers the
+	// columns its solve evaluated from its solve state; a kernel panic
+	// here comes back as a typed error like one inside the solve.
 	sp = tr.StartSpan("refit.gate")
-	out := &RefitOutcome{NewLoss: Loss(nin, res.Mixed), Warm: res.Warm, Stats: res.Stats}
+	newLoss, err := a.solveState.PolicyLoss(nin, res.Mixed)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	out := &RefitOutcome{NewLoss: newLoss, Warm: res.Warm, Stats: res.Stats}
 	install := true
 	if cur, _ := a.CurrentPolicy(); cur != nil {
-		out.OldLoss = Loss(nin, mixedFromPolicy(cur))
+		if out.OldLoss, err = a.solveState.PolicyLoss(nin, mixedFromPolicy(cur)); err != nil {
+			sp.End()
+			return nil, err
+		}
 		out.Improvement = (out.OldLoss - out.NewLoss) / math.Max(math.Abs(out.OldLoss), 1e-9)
 		if gate := b.opts.MinLossDelta; gate >= 0 && out.Improvement <= gate {
 			install = false

@@ -19,10 +19,10 @@ type MixedPolicy = solver.MixedPolicy
 type WarmStats = solver.WarmStats
 
 // CGGSStats is the work accounting of one column-generation solve:
-// column-pool size, master-solve and pivot counts, uncached pal
-// evaluations, and the incremental pricing oracle's checkpoint-hit and
-// pruning counters. Attached to SolveResult and RefitOutcome for
-// MethodCGGS sessions.
+// column-pool size, master-solve and pivot counts, orderings evaluated
+// by the detection-probability kernel, and the incremental pricing
+// oracle's checkpoint-hit and pruning counters. Attached to SolveResult
+// and RefitOutcome for MethodCGGS sessions.
 type CGGSStats = solver.CGGSStats
 
 // CGGSConfig tunes column generation (Algorithm 1 of the paper).
