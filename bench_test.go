@@ -464,27 +464,41 @@ func BenchmarkAblationColumnOracle(b *testing.B) {
 // BenchmarkAblationPivotRule compares Dantzig pricing (with Bland
 // fallback) against pure Bland's rule on random dense LPs (A4).
 func BenchmarkAblationPivotRule(b *testing.B) {
-	build := func(r *rand.Rand) *lp.Problem {
-		const n, m = 30, 20
-		p := lp.NewProblem(lp.Minimize)
-		vars := make([]lp.Var, n)
+	// min cᵀx s.t. Ax ≤ b, x ≥ 0 over 20 random rows and a cap row,
+	// each ≤ row with its slack; a row with b < 0 is negated, so its
+	// slack enters at −1 and the row starts on its artificial.
+	build := func(r *rand.Rand) *lp.Standard {
+		const n, m = 30, 21
+		const w = n + m
+		p := &lp.Standard{M: m, N: w, A: make([]float64, m*w), B: make([]float64, m), C: make([]float64, w), Crash: make([]int, m)}
 		for j := 0; j < n; j++ {
-			vars[j] = p.AddVar("x", lp.NonNegative, float64(r.Intn(21)-10))
+			p.C[j] = float64(r.Intn(21) - 10)
 		}
 		for i := 0; i < m; i++ {
-			coeffs := make([]float64, n)
-			var atOnes float64
-			for j := range coeffs {
-				coeffs[j] = float64(r.Intn(9) - 4)
-				atOnes += coeffs[j]
+			row := p.A[i*w : (i+1)*w]
+			if i < m-1 {
+				var atOnes float64
+				for j := 0; j < n; j++ {
+					row[j] = float64(r.Intn(9) - 4)
+					atOnes += row[j]
+				}
+				p.B[i] = atOnes + float64(r.Intn(10))
+			} else {
+				for j := 0; j < n; j++ {
+					row[j] = 1
+				}
+				p.B[i] = 100
 			}
-			p.AddRow("r", vars, coeffs, lp.LE, atOnes+float64(r.Intn(10)))
+			row[n+i] = 1
+			p.Crash[i] = n + i
+			if p.B[i] < 0 {
+				for j := range row {
+					row[j] = -row[j]
+				}
+				p.B[i] = -p.B[i]
+				p.Crash[i] = -1
+			}
 		}
-		ones := make([]float64, n)
-		for j := range ones {
-			ones[j] = 1
-		}
-		p.AddRow("cap", vars, ones, lp.LE, 100)
 		return p
 	}
 	for _, bland := range []bool{false, true} {

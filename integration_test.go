@@ -2,6 +2,7 @@ package auditgame_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,20 @@ import (
 // simulate hospital traffic, fit the workload, build and solve the game,
 // package the policy, serialize it, and operate it against fresh alert
 // days — asserting the invariants a deployment relies on at every stage.
+// solveOnce binds a one-off Auditor session to cfg and solves it once.
+func solveOnce(t *testing.T, cfg auditgame.AuditorConfig) *auditgame.SolveResult {
+	t.Helper()
+	a, err := auditgame.NewAuditor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.SolveDetailed(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFullPipelineEMR(t *testing.T) {
 	// 1. Workload synthesis and TDMT classification.
 	ds, err := auditgame.SimulateEMR(auditgame.EMRConfig{
@@ -41,10 +56,7 @@ func TestFullPipelineEMR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.25, MaxSubset: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveOnce(t, auditgame.AuditorConfig{Instance: in, ISHM: auditgame.ISHMConfig{Epsilon: 0.25, MaxSubset: 2}}).ISHM
 		losses = append(losses, res.Policy.Objective)
 		solved = res.Policy
 
@@ -102,10 +114,7 @@ func TestFullPipelineJSONConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auditgame.SolveISHM(in, auditgame.ISHMConfig{Epsilon: 0.2, ExactInner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveOnce(t, auditgame.AuditorConfig{Instance: in, ISHM: auditgame.ISHMConfig{Epsilon: 0.2, ExactInner: true}}).ISHM
 
 	// Zero-sum loss and the nil-lossFn non-zero-sum evaluation agree.
 	nz, err := auditgame.AuditorLossNonZeroSum(in, res.Policy, nil)

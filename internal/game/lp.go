@@ -14,9 +14,6 @@ type LPResult struct {
 	Objective float64
 	// Po[qi] is the probability assigned to ordering Q[qi].
 	Po []float64
-	// Ue[e] is the equilibrium best-response utility of entity e
-	// (entities in the same equivalence class share a value).
-	Ue []float64
 	// RowDuals[c][s] is the shadow price of the best-response constraint
 	// for entity class c's s-th attack signature; SimplexDual is the
 	// shadow price of Σ p_o = 1. Together they price candidate columns
@@ -63,6 +60,13 @@ func (in *Instance) SolveMaster(Q []Ordering, pals [][]float64, warm *MasterBasi
 	return in.solveFixedFromPals(Q, pals, warm)
 }
 
+// solveFixedFromPals writes the restricted master in computational
+// standard form and solves it. Columns are po_0..po_{|Q|-1}, then the
+// u⁺/u⁻ split of each class's free u, then one slack (≤) or surplus (≥)
+// per inequality row, in row order. Rows are, per class, its
+// best-response rows and then its refrain row when AllowNoAttack is set;
+// the convexity row Σ p_o = 1 comes last. Every right-hand side is
+// already non-negative, so no row needs a sign flip.
 func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *MasterBasis) (*LPResult, error) {
 	// Normalize the objective weights to sum 1 for the solve. The class
 	// weights grow with the entity count (Σ p_e over thousands of
@@ -79,41 +83,52 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 		weightScale = 1
 	}
 
-	p := lp.NewProblem(lp.Minimize)
-	poVars := make([]lp.Var, len(Q))
-	for qi := range Q {
-		poVars[qi] = p.AddVar(fmt.Sprintf("po_%d", qi), lp.NonNegative, 0)
+	sh := in.masterShape(len(Q))
+	m, n := sh.rows, sh.cols()
+	p := &lp.Standard{
+		M:     m,
+		N:     n,
+		A:     make([]float64, m*n),
+		B:     make([]float64, m),
+		C:     make([]float64, n),
+		Crash: make([]int, m),
 	}
-	ueVars := make([]lp.Var, len(in.classes))
+	i := 0
 	for ci, cl := range in.classes {
-		ueVars[ci] = p.AddVar(fmt.Sprintf("u_%d", ci), lp.Free, cl.weight/weightScale)
-	}
-
-	rowCons := make([][]lp.Constr, len(in.classes))
-	for ci, cl := range in.classes {
-		rowCons[ci] = make([]lp.Constr, len(cl.sigs))
-		for s, sig := range cl.sigs {
-			c := p.AddConstr(fmt.Sprintf("br_%d_%d", ci, s), lp.LE, 0)
+		w := cl.weight / weightScale
+		up, un := sh.ue(ci), sh.ue(ci)+1
+		p.C[up], p.C[un] = w, -w
+		for _, sig := range cl.sigs {
+			row := p.A[i*n : (i+1)*n]
 			for qi := range Q {
-				c2 := sig.ua(pals[qi])
-				if c2 != 0 {
-					p.SetCoeff(c, poVars[qi], c2)
+				// Only nonzero coefficients are written, so an
+				// exactly cancelling ua leaves +0 in the tableau.
+				if ua := sig.ua(pals[qi]); ua != 0 {
+					row[qi] = ua
 				}
 			}
-			p.SetCoeff(c, ueVars[ci], -1)
-			rowCons[ci][s] = c
+			row[up], row[un] = -1, 1
+			row[sh.slack(i)] = 1
+			p.Crash[i] = sh.slack(i)
+			i++
 		}
 		if in.G.AllowNoAttack {
-			c := p.AddConstr(fmt.Sprintf("refrain_%d", ci), lp.GE, 0)
-			p.SetCoeff(c, ueVars[ci], 1)
+			// u_c ≥ 0: the surplus enters at −1, so the row starts on
+			// its artificial.
+			row := p.A[i*n : (i+1)*n]
+			row[up], row[un] = 1, -1
+			row[sh.slack(i)] = -1
+			p.Crash[i] = -1
+			i++
 		}
 	}
-	sumCon := p.AddConstr("simplex", lp.EQ, 1)
-	for _, v := range poVars {
-		p.SetCoeff(sumCon, v, 1)
+	for qi := range Q {
+		p.A[i*n+qi] = 1
 	}
+	p.B[i] = 1
+	p.Crash[i] = -1
 
-	sol, err := p.Solve(lp.Options{Warm: warm.toLP(Q, len(Q), p.NumConstrs())})
+	sol, err := p.Solve(lp.Options{Warm: warm.columns(Q, sh)})
 	if err != nil {
 		return nil, err
 	}
@@ -124,26 +139,23 @@ func (in *Instance) solveFixedFromPals(Q []Ordering, pals [][]float64, warm *Mas
 	res := &LPResult{
 		Objective:   sol.Objective * weightScale,
 		Po:          make([]float64, len(Q)),
-		Ue:          make([]float64, len(in.G.Entities)),
 		RowDuals:    make([][]float64, len(in.classes)),
-		SimplexDual: sol.Dual[sumCon] * weightScale,
-		Basis:       masterBasisFromLP(sol.Basis, Q, len(Q), p.NumConstrs()),
+		SimplexDual: sol.Dual[m-1] * weightScale,
+		Basis:       masterBasisFromColumns(sol.Basis, Q, sh),
 		Iterations:  sol.Iterations,
 	}
 	for qi := range Q {
-		v := sol.Value(poVars[qi])
-		if v < 0 {
-			v = 0
+		res.Po[qi] = max(sol.X[qi], 0)
+	}
+	i = 0
+	for ci, cl := range in.classes {
+		res.RowDuals[ci] = make([]float64, len(cl.sigs))
+		for s := range cl.sigs {
+			res.RowDuals[ci][s] = sol.Dual[i] * weightScale
+			i++
 		}
-		res.Po[qi] = v
-	}
-	for e := range in.G.Entities {
-		res.Ue[e] = sol.Value(ueVars[in.entityClass[e]])
-	}
-	for ci := range in.classes {
-		res.RowDuals[ci] = make([]float64, len(rowCons[ci]))
-		for s, c := range rowCons[ci] {
-			res.RowDuals[ci][s] = sol.Dual[c] * weightScale
+		if in.G.AllowNoAttack {
+			i++
 		}
 	}
 	return res, nil

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-
-	"auditgame/internal/lp"
 )
 
 // StructuralFingerprint hashes everything about the instance that the
@@ -73,13 +71,15 @@ func (in *Instance) DualPricingScale(res *LPResult) float64 {
 // content key, u_e columns by entity-class index, and slack columns by
 // constraint row. That indirection is what makes the basis portable
 // across solves — the column pool grows between pricing rounds (an
-// ordering's lp.Var index shifts) and a refit rebuilds the whole LP
-// with perturbed coefficients (every index is reassigned), but an
-// ordering's key and a class's position depend only on the game's
-// attack structure, which both transformations preserve.
+// ordering's column index shifts, and so do all u and slack columns)
+// and a refit rebuilds the whole LP with perturbed coefficients (every
+// index is reassigned), but an ordering's key and a class's position
+// depend only on the game's attack structure, which both
+// transformations preserve.
 type MasterBasis struct {
-	numRows int
-	rows    []masterBasisEntry
+	// rows holds one entry per constraint row of the master it was
+	// extracted from.
+	rows []masterBasisEntry
 }
 
 type masterBasisKind uint8
@@ -98,61 +98,85 @@ type masterBasisEntry struct {
 	neg  bool   // negative part of the free u_e variable
 }
 
-// NumRows reports the constraint-row count the basis was extracted
-// from; a master with a different row count (different class structure)
-// cannot use it.
-func (mb *MasterBasis) NumRows() int {
-	if mb == nil {
-		return 0
-	}
-	return mb.numRows
+// masterShape is the column layout of a restricted master's standard
+// form (see solveFixedFromPals): |Q| ordering columns, a u⁺/u⁻ pair per
+// class, then a slack per inequality row — every row but the last.
+type masterShape struct {
+	nQ, nC, rows int
 }
 
-// toLP translates the basis into lp coordinates for a master over the
-// ordering set Q. Orderings that have left the pool (or a stale basis
-// altogether) degrade gracefully: unmappable entries become artificial
-// markers, which the LP layer drops back to its slack crash.
-func (mb *MasterBasis) toLP(Q []Ordering, numQ, numRows int) *lp.Basis {
-	if mb == nil || mb.numRows != numRows {
+func (in *Instance) masterShape(nQ int) masterShape {
+	rows := 1
+	for _, cl := range in.classes {
+		rows += len(cl.sigs)
+		if in.G.AllowNoAttack {
+			rows++
+		}
+	}
+	return masterShape{nQ: nQ, nC: len(in.classes), rows: rows}
+}
+
+// ue is the u⁺ column of class ci; its u⁻ column follows it.
+func (sh masterShape) ue(ci int) int { return sh.nQ + 2*ci }
+
+// slack is the slack/surplus column of inequality row r.
+func (sh masterShape) slack(r int) int { return sh.nQ + 2*sh.nC + r }
+
+// cols is the structural column count: the convexity row, last, has no
+// slack.
+func (sh masterShape) cols() int { return sh.slack(sh.rows - 1) }
+
+// columns translates the basis into tableau columns of a master over
+// the ordering set Q, in row order. Entries that no longer map —
+// orderings that have left the pool, artificials, classes or rows
+// beyond the master — are dropped, and their rows keep the crash
+// start. A basis with a different row count (a different class
+// structure) is ignored altogether.
+func (mb *MasterBasis) columns(Q []Ordering, sh masterShape) []int {
+	if mb == nil || len(mb.rows) != sh.rows {
 		return nil
 	}
 	at := make(map[string]int, len(Q))
 	for qi, o := range Q {
 		at[o.Key()] = qi
 	}
-	b := &lp.Basis{Rows: make([]lp.BasisEntry, len(mb.rows))}
-	for i, e := range mb.rows {
+	cols := make([]int, 0, sh.rows)
+	for _, e := range mb.rows {
 		switch e.kind {
 		case mbOrdering:
 			if qi, ok := at[e.key]; ok {
-				b.Rows[i] = lp.BasisEntry{Kind: lp.BasisStructural, Var: lp.Var(qi)}
+				cols = append(cols, qi)
 			}
 		case mbUe:
-			b.Rows[i] = lp.BasisEntry{Kind: lp.BasisStructural, Var: lp.Var(numQ + e.idx), Neg: e.neg}
+			if e.idx >= 0 && e.idx < sh.nC {
+				j := sh.ue(e.idx)
+				if e.neg {
+					j++
+				}
+				cols = append(cols, j)
+			}
 		case mbSlack:
-			b.Rows[i] = lp.BasisEntry{Kind: lp.BasisSlack, Row: lp.Constr(e.idx)}
+			if e.idx >= 0 && e.idx < sh.rows-1 {
+				cols = append(cols, sh.slack(e.idx))
+			}
 		}
 	}
-	return b
+	return cols
 }
 
-// masterBasisFromLP translates an optimal lp basis back into
-// game-logical coordinates.
-func masterBasisFromLP(b *lp.Basis, Q []Ordering, numQ, numRows int) *MasterBasis {
-	if b == nil {
-		return nil
-	}
-	mb := &MasterBasis{numRows: numRows, rows: make([]masterBasisEntry, len(b.Rows))}
-	for i, e := range b.Rows {
-		switch e.Kind {
-		case lp.BasisStructural:
-			if v := int(e.Var); v < numQ {
-				mb.rows[i] = masterBasisEntry{kind: mbOrdering, key: Q[v].Key()}
-			} else {
-				mb.rows[i] = masterBasisEntry{kind: mbUe, idx: v - numQ, neg: e.Neg}
-			}
-		case lp.BasisSlack:
-			mb.rows[i] = masterBasisEntry{kind: mbSlack, idx: int(e.Row)}
+// masterBasisFromColumns translates an optimal basis, one tableau
+// column per row, back into game-logical coordinates.
+func masterBasisFromColumns(cols []int, Q []Ordering, sh masterShape) *MasterBasis {
+	mb := &MasterBasis{rows: make([]masterBasisEntry, len(cols))}
+	for i, j := range cols {
+		switch {
+		case j < sh.nQ:
+			mb.rows[i] = masterBasisEntry{kind: mbOrdering, key: Q[j].Key()}
+		case j < sh.slack(0):
+			k := j - sh.nQ
+			mb.rows[i] = masterBasisEntry{kind: mbUe, idx: k / 2, neg: k%2 == 1}
+		case j < sh.cols():
+			mb.rows[i] = masterBasisEntry{kind: mbSlack, idx: j - sh.slack(0)}
 		}
 	}
 	return mb

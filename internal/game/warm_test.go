@@ -146,7 +146,7 @@ func TestSolveFixedWarmRejectsWrongShape(t *testing.T) {
 	}
 	// A basis from a structurally different master (different row count)
 	// must be ignored, not crash or corrupt the solve.
-	bogus := &MasterBasis{numRows: cold.Basis.numRows + 3, rows: cold.Basis.rows}
+	bogus := &MasterBasis{rows: append(append([]masterBasisEntry(nil), cold.Basis.rows...), make([]masterBasisEntry, 3)...)}
 	warm, err := solveAt(in, Q, b, bogus)
 	if err != nil {
 		t.Fatal(err)

@@ -1,64 +1,23 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs. It exists because the audit-game pipeline (column generation in
-// particular) needs exact primal and dual solutions and the Go standard
-// library ships no optimization code.
+// Package lp implements a dense two-phase primal simplex solver over a
+// linear program in computational standard form. It exists because the
+// audit-game pipeline (column generation in particular) needs exact
+// primal and dual solutions and the Go standard library ships no
+// optimization code.
 //
-// The solver handles minimization and maximization, ≤ / ≥ / = constraints,
-// non-negative and free variables, and reports shadow prices (duals) for
-// every constraint. It targets the problem sizes that arise in the paper —
-// hundreds of rows and columns — where a dense tableau is both simple and
-// fast. Anti-cycling is handled by switching from Dantzig to Bland's rule
-// after a stall.
+// The caller writes the standard form directly — one dense row-major
+// constraint matrix with non-negative right-hand sides, slack and
+// surplus columns included — and names, per row, the column that starts
+// basic there. The solver reports column values, one dual per row, and
+// the final basis as column indices, which the caller translates into
+// its own coordinates. It targets the problem sizes that arise in the
+// paper — hundreds of rows and columns — where a dense tableau is both
+// simple and fast. Anti-cycling is handled by switching from Dantzig to
+// Bland's rule after a stall.
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
-)
-
-// Sense is the optimization direction.
-type Sense int
-
-const (
-	// Minimize selects minimization of the objective.
-	Minimize Sense = iota
-	// Maximize selects maximization of the objective.
-	Maximize
-)
-
-// Rel is a constraint relation.
-type Rel int
-
-const (
-	// LE is a ≤ constraint.
-	LE Rel = iota
-	// GE is a ≥ constraint.
-	GE
-	// EQ is an equality constraint.
-	EQ
-)
-
-func (r Rel) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "=="
-	}
-	return fmt.Sprintf("Rel(%d)", int(r))
-}
-
-// Bound describes the domain of a variable.
-type Bound int
-
-const (
-	// NonNegative constrains a variable to x ≥ 0.
-	NonNegative Bound = iota
-	// Free leaves a variable unbounded in sign.
-	Free
 )
 
 // Status reports the outcome of a solve.
@@ -69,8 +28,7 @@ const (
 	Optimal Status = iota
 	// Infeasible means no feasible point exists.
 	Infeasible
-	// Unbounded means the objective is unbounded in the optimization
-	// direction.
+	// Unbounded means the objective is unbounded below.
 	Unbounded
 	// IterationLimit means the solver hit MaxIter before converging.
 	IterationLimit
@@ -90,229 +48,102 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// ErrNotSolved is returned when a solution is requested in a state where
-// none exists.
-var ErrNotSolved = errors.New("lp: problem not solved to optimality")
+// eps is the feasibility/optimality tolerance.
+const eps = 1e-9
 
-// Var identifies a variable in a Problem.
-type Var int
+// sqrtEps is the looser tolerance for the phase-1 feasibility test and
+// the purge of zero-level artificials.
+var sqrtEps = math.Sqrt(eps)
 
-// Constr identifies a constraint in a Problem.
-type Constr int
-
-type variable struct {
-	name  string
-	bound Bound
-	obj   float64
-	// shift is the finite lower bound of a bounded variable: the
-	// solver works with s = x − shift ≥ 0 and reports x = shift + s.
-	shift float64
+// Standard is a linear program in computational standard form:
+//
+//	minimize cᵀx  subject to  Ax = b,  x ≥ 0,  b ≥ 0
+type Standard struct {
+	// M and N are the row and column counts.
+	M, N int
+	// A is the M×N constraint matrix, row-major: A[i*N+j].
+	A []float64
+	// B is the right-hand side, one non-negative entry per row.
+	B []float64
+	// C is the objective, one entry per column.
+	C []float64
+	// Crash names, per row, the column basic there in the starting
+	// basis, or -1 for the row's artificial. A crash column must be a
+	// unit column: +1 in its row and 0 in every other row (a ≤ row's
+	// slack), so the starting basis matrix is the identity.
+	Crash []int
 }
-
-type constraint struct {
-	name  string
-	rel   Rel
-	rhs   float64
-	coeff map[Var]float64
-}
-
-// Problem is a linear program under construction. The zero value is not
-// usable; call NewProblem.
-type Problem struct {
-	sense Sense
-	vars  []variable
-	cons  []constraint
-}
-
-// NewProblem returns an empty problem with the given optimization sense.
-func NewProblem(sense Sense) *Problem {
-	return &Problem{sense: sense}
-}
-
-// Sense returns the optimization direction of the problem.
-func (p *Problem) Sense() Sense { return p.sense }
-
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
-// NumConstrs returns the number of constraints added so far.
-func (p *Problem) NumConstrs() int { return len(p.cons) }
-
-// AddVar adds a variable with the given name, bound and objective
-// coefficient, returning its handle.
-func (p *Problem) AddVar(name string, bound Bound, obj float64) Var {
-	p.vars = append(p.vars, variable{name: name, bound: bound, obj: obj})
-	return Var(len(p.vars) - 1)
-}
-
-// AddBoundedVar adds a variable constrained to lo ≤ x ≤ hi. Either bound
-// may be infinite (math.Inf). Internally the solver shifts the variable
-// by its finite lower bound and adds a row for a finite upper bound, so
-// the handle behaves exactly like any other Var (values are reported in
-// the original coordinates).
-func (p *Problem) AddBoundedVar(name string, lo, hi, obj float64) Var {
-	if lo > hi {
-		panic(fmt.Sprintf("lp: AddBoundedVar(%s): lo %v > hi %v", name, lo, hi))
-	}
-	var v Var
-	switch {
-	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-		v = p.AddVar(name, Free, obj)
-	case math.IsInf(lo, -1):
-		// x ≤ hi only: substitute x = hi − y with y ≥ 0. Rather than a
-		// substitution (which would touch every row), keep x free and
-		// add the upper-bound row.
-		v = p.AddVar(name, Free, obj)
-		p.AddRow(name+"_ub", []Var{v}, []float64{1}, LE, hi)
-	default:
-		// Finite lower bound: represent x = lo + s with s ≥ 0 by
-		// recording the shift; an upper bound becomes s ≤ hi − lo.
-		v = p.AddVar(name, NonNegative, obj)
-		p.vars[v].shift = lo
-		if !math.IsInf(hi, 1) {
-			p.AddRow(name+"_ub", []Var{v}, []float64{1}, LE, hi)
-		}
-	}
-	return v
-}
-
-// SetObj overwrites the objective coefficient of v.
-func (p *Problem) SetObj(v Var, obj float64) {
-	p.vars[v].obj = obj
-}
-
-// AddConstr adds an empty constraint "· rel rhs" and returns its handle.
-// Populate it with SetCoeff.
-func (p *Problem) AddConstr(name string, rel Rel, rhs float64) Constr {
-	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, coeff: make(map[Var]float64)})
-	return Constr(len(p.cons) - 1)
-}
-
-// SetCoeff sets the coefficient of variable v in constraint c. Setting a
-// coefficient twice overwrites.
-func (p *Problem) SetCoeff(c Constr, v Var, coeff float64) {
-	if int(v) < 0 || int(v) >= len(p.vars) {
-		panic(fmt.Sprintf("lp: SetCoeff: variable %d out of range [0,%d)", v, len(p.vars)))
-	}
-	p.cons[c].coeff[v] = coeff
-}
-
-// AddRow is a convenience that adds a fully-populated constraint in one
-// call: Σ coeffs[i]·vars[i] rel rhs.
-func (p *Problem) AddRow(name string, vars []Var, coeffs []float64, rel Rel, rhs float64) Constr {
-	if len(vars) != len(coeffs) {
-		panic(fmt.Sprintf("lp: AddRow: %d vars but %d coeffs", len(vars), len(coeffs)))
-	}
-	c := p.AddConstr(name, rel, rhs)
-	for i, v := range vars {
-		p.SetCoeff(c, v, coeffs[i])
-	}
-	return c
-}
-
-// BasisEntryKind says what kind of column was basic in a row at an
-// optimal solve.
-type BasisEntryKind uint8
-
-const (
-	// BasisArtificial marks a row whose artificial variable stayed basic
-	// (at zero level — a linearly dependent row). Warm starts skip it.
-	BasisArtificial BasisEntryKind = iota
-	// BasisStructural marks a user variable (Var; Neg selects the
-	// negative part of a Free variable).
-	BasisStructural
-	// BasisSlack marks the slack/surplus column of constraint Row.
-	BasisSlack
-)
-
-// BasisEntry identifies the column basic in one constraint row, in user
-// terms (variables and constraints, not internal standard-form columns),
-// so a basis survives rebuilding a structurally compatible problem.
-type BasisEntry struct {
-	Kind BasisEntryKind
-	// Var is the basic variable for BasisStructural; Neg selects the
-	// negative part of a Free variable.
-	Var Var
-	Neg bool
-	// Row is the constraint whose slack/surplus is basic, for BasisSlack.
-	Row Constr
-}
-
-// Basis is the optimal basis of a solved problem: one entry per
-// constraint row. Pass it back through Options.Warm when solving a
-// problem with the same constraints (in the same order) and a superset
-// of the variables — e.g. the next restricted master of a column
-// generation loop, or the same master under a perturbed model — to
-// start the simplex near the old optimum instead of from the slack
-// crash.
-type Basis struct {
-	Rows []BasisEntry
-}
-
-// Solution holds the result of solving a Problem.
-type Solution struct {
-	Status    Status
-	Objective float64
-	// X holds the primal value of each variable, indexed by Var.
-	X []float64
-	// Dual holds the shadow price of each constraint, indexed by Constr:
-	// the derivative of the optimal objective with respect to that
-	// constraint's right-hand side.
-	Dual []float64
-	// Basis is the optimal basis, reusable as Options.Warm on a
-	// structurally compatible re-solve. Nil on non-optimal statuses.
-	Basis *Basis
-	// Iterations is the total number of simplex pivots across both
-	// phases (including warm-start advance pivots).
-	Iterations int
-}
-
-// Value returns the primal value of v. It panics if the solution does not
-// carry primal values (non-optimal statuses).
-func (s *Solution) Value(v Var) float64 { return s.X[v] }
 
 // Options tunes the solver.
 type Options struct {
 	// MaxIter caps simplex pivots per phase. Zero means a generous
 	// default derived from the problem size.
 	MaxIter int
-	// Eps is the feasibility/optimality tolerance. Zero means 1e-9.
-	Eps float64
 	// Bland forces Bland's rule from the first pivot (used by the
 	// pivot-rule ablation; normally the solver starts with Dantzig and
 	// falls back on stall).
 	Bland bool
-	// Warm is an advisory starting basis from a previous Solution of a
-	// structurally compatible problem: same constraints in the same
-	// order (the row count must match or the basis is ignored), and any
-	// superset of the variables. After the usual slack-crash and phase 1,
-	// the solver advances toward this basis through ordinary ratio-test
-	// pivots before phase-2 pricing begins, so a stale or partially
-	// invalid basis can only cost pivots, never correctness: entries
-	// that don't map or admit no acceptable pivot element fall back to
-	// the slack crash for their row.
-	Warm *Basis
+	// Warm is an advisory starting basis: columns to pivot into the
+	// basis, in order, typically the Basis of an earlier Solution of a
+	// structurally compatible problem (same rows, the same or more
+	// columns, perturbed coefficients). The solver installs them before
+	// phase 1, so a stale or partially invalid basis can only cost
+	// pivots, never correctness: columns that are out of range or admit
+	// no acceptable pivot element are skipped, and an install that
+	// leaves the tableau irreparably infeasible restarts from the crash
+	// basis.
+	Warm []int
 }
 
-func (o Options) withDefaults(m, n int) Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200 * (m + n + 10)
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-9
-	}
-	return o
+// Solution holds the result of solving a Standard problem.
+type Solution struct {
+	Status    Status
+	Objective float64
+	// X holds the value of each column. Nil on non-optimal statuses.
+	X []float64
+	// Dual holds the shadow price of each row: the derivative of the
+	// optimal objective with respect to that row's right-hand side.
+	Dual []float64
+	// Basis[i] is the column basic in row i at the optimum; a value ≥ N
+	// marks the row's artificial (a linearly dependent row). Nil on
+	// non-optimal statuses.
+	Basis []int
+	// Iterations is the total number of simplex pivots across both
+	// phases (including warm-start install and repair pivots).
+	Iterations int
 }
 
 // Solve runs the two-phase simplex method and returns the solution.
-// The returned error is non-nil only for malformed problems; infeasibility
+// The returned error is non-nil only for malformed input; infeasibility
 // and unboundedness are reported through Solution.Status.
-func (p *Problem) Solve(opts Options) (*Solution, error) {
-	if len(p.vars) == 0 {
-		return nil, errors.New("lp: problem has no variables")
+func (p *Standard) Solve(o Options) (*Solution, error) {
+	if err := p.check(); err != nil {
+		return nil, err
 	}
-	std := p.toStandard()
-	o := opts.withDefaults(std.m, std.n)
-	res := std.simplex(o, std.warmCols(opts.Warm))
-	return p.fromStandard(std, res), nil
+	if o.MaxIter == 0 {
+		o.MaxIter = 200 * (p.M + p.N + 10)
+	}
+	return newTableau(p).solve(o), nil
+}
+
+// check rejects malformed input.
+func (p *Standard) check() error {
+	if p.M < 0 || p.N < 0 {
+		return fmt.Errorf("lp: negative shape %d×%d", p.M, p.N)
+	}
+	if len(p.A) != p.M*p.N || len(p.B) != p.M || len(p.C) != p.N || len(p.Crash) != p.M {
+		return fmt.Errorf("lp: %d×%d problem with len(A)=%d, len(B)=%d, len(C)=%d, len(Crash)=%d",
+			p.M, p.N, len(p.A), len(p.B), len(p.C), len(p.Crash))
+	}
+	for i, b := range p.B {
+		if !(b >= 0) {
+			return fmt.Errorf("lp: row %d has right-hand side %v, want ≥ 0", i, b)
+		}
+	}
+	for i, j := range p.Crash {
+		if j < -1 || j >= p.N {
+			return fmt.Errorf("lp: row %d crash column %d out of range [-1, %d)", i, j, p.N)
+		}
+	}
+	return nil
 }

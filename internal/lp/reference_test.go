@@ -78,12 +78,11 @@ func TestSimplexMatchesVertexEnumeration(t *testing.T) {
 
 		want := referenceSolve2D(c, A, b)
 
-		p := NewProblem(Minimize)
-		x := p.AddVar("x", NonNegative, c[0])
-		y := p.AddVar("y", NonNegative, c[1])
+		rows := make([][]float64, len(A))
 		for i := range A {
-			p.AddRow("r", []Var{x, y}, []float64{A[i][0], A[i][1]}, LE, b[i])
+			rows[i] = A[i][:]
 		}
+		p := leq(c[:], rows, b)
 		sol, err := p.Solve(Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -4,19 +4,7 @@ import (
 	"math"
 
 	"auditgame/internal/fault"
-	"auditgame/internal/matrix"
 )
-
-// simplexResult is the raw outcome of the two-phase method on a
-// standard-form problem.
-type simplexResult struct {
-	status Status
-	obj    float64
-	x      matrix.Vector // length n (structural columns only)
-	y      matrix.Vector // length m (equality-form duals, one per row)
-	basis  []int         // final basis, basis[i] = column basic in row i (Optimal only)
-	iters  int
-}
 
 // tableau is a full-tableau simplex working set. Columns are laid out as
 // [structural 0..n) | artificial n..n+m). Artificial columns are kept
@@ -24,60 +12,68 @@ type simplexResult struct {
 // costs encode the duals: for artificial j of row i with zero cost,
 // y_i = −c̄_j.
 type tableau struct {
-	m, n    int            // rows, structural columns
-	a       *matrix.Matrix // m×(n+m) current tableau body
-	b       matrix.Vector  // current rhs (basic variable values)
-	c       matrix.Vector  // length n+m: current phase objective coefficients
-	cbar    matrix.Vector  // reduced costs, length n+m
-	z       float64        // current objective value (of the phase objective)
-	basis   []int          // basis[i] = column basic in row i
-	inb     []bool         // inb[j] = column j is basic
-	ties    []int          // scratch for the ratio test's tied rows
-	blocked []bool         // columns numerically unusable at this basis
-	eps     float64
+	p       *Standard // problem data, reloaded when a warm start is abandoned
+	m, n    int       // rows, structural columns
+	w       int       // row stride, n+m
+	a       []float64 // m×w current tableau body, row-major
+	b       []float64 // current rhs (basic variable values)
+	cbar    []float64 // reduced costs, length w
+	z       float64   // current objective value (of the phase objective)
+	basis   []int     // basis[i] = column basic in row i
+	inb     []bool    // inb[j] = column j is basic
+	ties    []int     // scratch for the ratio test's tied rows
+	blocked []bool    // columns numerically unusable at this basis
 }
 
-// newTableau builds the initial working set with the slack crash basis.
+// newTableau builds the initial working set with the crash basis.
 //
-// Crash basis: a row whose slack carries a +1 coefficient is feasible
-// with that slack basic (b ≥ 0 by construction), so only equality and
-// sign-flipped rows start on artificials. The basis matrix is still
-// the identity, and the artificial columns are installed for every
-// row regardless — the dual extraction reads them. Starting
-// from slacks instead of a full artificial basis keeps phase 1 to the
-// handful of rows that genuinely need repair, which both speeds it up
-// and avoids the long degenerate pivot chains on rhs-0 rows that let
-// tableau round-off accumulate.
-func (s *standard) newTableau(o Options) *tableau {
+// Crash basis: a row whose crash column (a slack with a +1 coefficient)
+// is given is feasible with that column basic (b ≥ 0), so only the
+// remaining rows — equalities and ≥ rows — start on artificials. The
+// basis matrix is still the identity, and the artificial columns are
+// installed for every row regardless — the dual extraction reads them.
+// Starting from slacks instead of a full artificial basis keeps phase 1
+// to the handful of rows that genuinely need repair, which both speeds
+// it up and avoids the long degenerate pivot chains on rhs-0 rows that
+// let tableau round-off accumulate.
+func newTableau(p *Standard) *tableau {
+	m, n := p.M, p.N
 	t := &tableau{
-		m:     s.m,
-		n:     s.n,
-		a:     matrix.New(s.m, s.n+s.m),
-		b:     s.b.Clone(),
-		basis: make([]int, s.m),
-		inb:   make([]bool, s.n+s.m),
-		eps:   o.Eps,
+		p:     p,
+		m:     m,
+		n:     n,
+		w:     n + m,
+		a:     make([]float64, m*(n+m)),
+		b:     append([]float64(nil), p.B...),
+		basis: make([]int, m),
+		inb:   make([]bool, n+m),
 	}
-	for i := 0; i < s.m; i++ {
-		copy(t.a.Row(i)[:s.n], s.a.Row(i))
-		t.a.Set(i, s.n+i, 1) // artificial
-		if j := s.crashCol[i]; j >= 0 {
+	for i := 0; i < m; i++ {
+		row := t.row(i)
+		copy(row[:n], p.A[i*n:(i+1)*n])
+		row[n+i] = 1 // artificial
+		if j := p.Crash[i]; j >= 0 {
 			t.basis[i] = j
 			t.inb[j] = true
 		} else {
-			t.basis[i] = s.n + i
-			t.inb[s.n+i] = true
+			t.basis[i] = n + i
+			t.inb[n+i] = true
 		}
 	}
 	return t
 }
 
-func (s *standard) simplex(o Options, warm []int) *simplexResult {
-	t := s.newTableau(o)
-	res := &simplexResult{}
+// row returns a mutable view of tableau row i.
+func (t *tableau) row(i int) []float64 { return t.a[i*t.w : (i+1)*t.w] }
 
-	phase1 := matrix.NewVector(s.n + s.m)
-	for j := s.n; j < s.n+s.m; j++ {
+// solve runs the two phases from the crash basis, after installing
+// o.Warm when one is given.
+func (t *tableau) solve(o Options) *Solution {
+	n, m := t.n, t.m
+	res := &Solution{}
+
+	phase1 := make([]float64, n+m)
+	for j := n; j < n+m; j++ {
 		phase1[j] = 1
 	}
 
@@ -85,28 +81,28 @@ func (s *standard) simplex(o Options, warm []int) *simplexResult {
 	// (Gaussian elimination with best-magnitude row choice), then repair
 	// any negative basic values the new data produced. Every step is a
 	// legal basis change on a consistent tableau, so on success the
-	// phases below run exactly as they would from the slack crash — just
+	// phases below run exactly as they would from the crash basis — just
 	// from a vertex near the old optimum. If the warm basis turns out
 	// singular or the repair fails, throw the tableau away and restart
-	// from the cold slack crash: a warm start may only cost time, never
+	// from the cold crash basis: a warm start may only cost time, never
 	// correctness.
-	if len(warm) > 0 {
+	if len(o.Warm) > 0 {
 		t.setObjective(phase1) // pivots maintain cbar/z; install under phase-1 costs
-		it := t.warmInstall(warm)
+		it := t.warmInstall(o.Warm)
 		rep, ok := t.warmRepair()
 		if ok {
-			res.iters += it + rep
+			res.Iterations += it + rep
 		} else {
-			t = s.newTableau(o)
+			*t = *newTableau(t.p)
 		}
 	}
 
 	// Phase 1: minimize the sum of artificials.
 	t.setObjective(phase1)
 	st, it := t.iterate(o, true)
-	res.iters += it
+	res.Iterations += it
 	if st == IterationLimit {
-		res.status = IterationLimit
+		res.Status = IterationLimit
 		return res
 	}
 	// Test feasibility on the recomputed artificial mass, not the
@@ -114,8 +110,8 @@ func (s *standard) simplex(o Options, warm []int) *simplexResult {
 	// pivots on large column-generation masters, t.z carries accumulated
 	// floating-point drift that can exceed the tolerance on a feasible
 	// problem. The basic values themselves are the authoritative state.
-	if t.artificialMass() > sqrtEps(t.eps) {
-		res.status = Infeasible
+	if t.artificialMass() > sqrtEps {
+		res.Status = Infeasible
 		return res
 	}
 	// Drive any artificials that linger in the basis at zero level out,
@@ -123,41 +119,40 @@ func (s *standard) simplex(o Options, warm []int) *simplexResult {
 	t.purgeArtificials()
 
 	// Phase 2: minimize the true objective.
-	phase2 := matrix.NewVector(s.n + s.m)
-	copy(phase2[:s.n], s.c)
+	phase2 := make([]float64, n+m)
+	copy(phase2[:n], t.p.C)
 	t.setObjective(phase2)
 	st, it = t.iterate(o, false)
-	res.iters += it
+	res.Iterations += it
 	switch st {
 	case IterationLimit, Unbounded:
-		res.status = st
+		res.Status = st
 		return res
 	}
 
-	res.status = Optimal
-	res.x = matrix.NewVector(s.n)
+	res.Status = Optimal
+	res.X = make([]float64, n)
 	for i, bj := range t.basis {
-		if bj >= 0 && bj < s.n {
-			res.x[bj] = t.b[i]
+		if bj >= 0 && bj < n {
+			res.X[bj] = t.b[i]
 		}
 	}
 	// Report the objective recomputed from the basic values, not the
 	// incrementally updated t.z — the same drift the phase-1 feasibility
 	// test guards against (artificial phase-2 costs are zero, so basic
 	// structural columns are the only contributors).
-	res.obj = 0
 	for i, bj := range t.basis {
-		if bj >= 0 && bj < s.n {
-			res.obj += phase2[bj] * t.b[i]
+		if bj >= 0 && bj < n {
+			res.Objective += phase2[bj] * t.b[i]
 		}
 	}
 	// Duals from artificial reduced costs: c̄_{n+i} = c_{n+i} − y_i and
 	// the phase-2 cost of artificials is 0, so y_i = −c̄_{n+i}.
-	res.y = matrix.NewVector(s.m)
-	for i := 0; i < s.m; i++ {
-		res.y[i] = -t.cbar[s.n+i]
+	res.Dual = make([]float64, m)
+	for i := 0; i < m; i++ {
+		res.Dual[i] = -t.cbar[n+i]
 	}
-	res.basis = append([]int(nil), t.basis...)
+	res.Basis = append([]int(nil), t.basis...)
 	return res
 }
 
@@ -179,7 +174,7 @@ const warmInstallTol = pivotTol
 // are skipped. Returns the pivot count.
 func (t *tableau) warmInstall(desired []int) int {
 	claimed := make([]bool, t.m)
-	want := make([]bool, t.n+t.m)
+	want := make([]bool, t.w)
 	for _, j := range desired {
 		if j >= 0 && j < t.n {
 			want[j] = true
@@ -200,7 +195,7 @@ func (t *tableau) warmInstall(desired []int) int {
 			if claimed[i] {
 				continue
 			}
-			if v := math.Abs(t.a.At(i, j)); v > best {
+			if v := math.Abs(t.a[i*t.w+j]); v > best {
 				best, row = v, i
 			}
 		}
@@ -229,7 +224,7 @@ func (t *tableau) warmInstall(desired []int) int {
 func (t *tableau) warmRepair() (int, bool) {
 	budget := 2*t.m + 16
 	for k := 0; k < budget; k++ {
-		row, worst := -1, -t.eps
+		row, worst := -1, -eps
 		for i := 0; i < t.m; i++ {
 			if t.b[i] < worst {
 				worst, row = t.b[i], i
@@ -239,7 +234,7 @@ func (t *tableau) warmRepair() (int, bool) {
 			return k, true
 		}
 		best, enter := pivotTol, -1
-		r := t.a.Row(row)
+		r := t.row(row)
 		for j := 0; j < t.n; j++ {
 			if t.inb[j] {
 				continue
@@ -256,8 +251,6 @@ func (t *tableau) warmRepair() (int, bool) {
 	return budget, false
 }
 
-func sqrtEps(eps float64) float64 { return math.Sqrt(eps) }
-
 // artificialMass sums the current values of basic artificial variables —
 // the exact phase-1 objective at the current vertex.
 func (t *tableau) artificialMass() float64 {
@@ -273,20 +266,19 @@ func (t *tableau) artificialMass() float64 {
 // setObjective installs phase costs c and recomputes reduced costs and z
 // from the current basis by pricing: c̄ = c − c_Bᵀ·(tableau rows), where the
 // tableau body already equals B⁻¹A.
-func (t *tableau) setObjective(c matrix.Vector) {
-	t.c = c.Clone()
-	t.cbar = c.Clone()
+func (t *tableau) setObjective(c []float64) {
+	t.cbar = append(t.cbar[:0], c...)
 	t.z = 0
 	for i, bj := range t.basis {
 		if bj < 0 {
 			continue
 		}
-		cb := t.c[bj]
+		cb := c[bj]
 		if cb == 0 {
 			continue
 		}
 		t.z += cb * t.b[i]
-		row := t.a.Row(i)
+		row := t.row(i)
 		for j, a := range row {
 			t.cbar[j] -= cb * a
 		}
@@ -321,8 +313,8 @@ func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
 	stall := 0
 	const stallWindow = 64
 	lastZ := t.z
-	if cap(t.blocked) < t.n+t.m {
-		t.blocked = make([]bool, t.n+t.m)
+	if cap(t.blocked) < t.w {
+		t.blocked = make([]bool, t.w)
 	}
 
 	for iter := 0; iter < o.MaxIter; iter++ {
@@ -353,7 +345,7 @@ func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
 			t.blocked[j] = false // new basis, new numerics
 		}
 
-		if t.z < lastZ-t.eps {
+		if t.z < lastZ-eps {
 			lastZ = t.z
 			stall = 0
 			bland = o.Bland
@@ -372,7 +364,7 @@ func (t *tableau) iterate(o Options, phase1 bool) (Status, int) {
 func (t *tableau) maxColumnEntry(j int) float64 {
 	best := math.Inf(-1)
 	for i := 0; i < t.m; i++ {
-		if a := t.a.At(i, j); a > best {
+		if a := t.a[i*t.w+j]; a > best {
 			best = a
 		}
 	}
@@ -387,13 +379,13 @@ func (t *tableau) chooseEntering(bland, phase1 bool) int {
 	}
 	if bland {
 		for j := 0; j < limit; j++ {
-			if !t.inb[j] && !t.blocked[j] && t.cbar[j] < -t.eps {
+			if !t.inb[j] && !t.blocked[j] && t.cbar[j] < -eps {
 				return j
 			}
 		}
 		return -1
 	}
-	best, at := -t.eps, -1
+	best, at := -eps, -1
 	for j := 0; j < limit; j++ {
 		if !t.inb[j] && !t.blocked[j] && t.cbar[j] < best {
 			best, at = t.cbar[j], j
@@ -417,16 +409,16 @@ func (t *tableau) chooseLeaving(enter int) int {
 	bestRatio := math.Inf(1)
 	t.ties = t.ties[:0]
 	for i := 0; i < t.m; i++ {
-		aie := t.a.At(i, enter)
+		aie := t.a[i*t.w+enter]
 		if aie <= pivotTol {
 			continue
 		}
 		ratio := t.b[i] / aie
 		switch {
-		case ratio < bestRatio-t.eps:
+		case ratio < bestRatio-eps:
 			bestRatio = ratio
 			t.ties = append(t.ties[:0], i)
-		case ratio < bestRatio+t.eps:
+		case ratio < bestRatio+eps:
 			t.ties = append(t.ties, i)
 			if ratio < bestRatio {
 				bestRatio = ratio
@@ -452,11 +444,11 @@ func (t *tableau) chooseLeaving(enter int) int {
 // total and consistent, and noise-level differences still break the
 // degenerate ties that cause cycling.
 func (t *tableau) lexLess(i, r, enter int) bool {
-	si := 1 / t.a.At(i, enter)
-	sr := 1 / t.a.At(r, enter)
-	for j := t.n; j < t.n+t.m; j++ {
-		vi := t.a.At(i, j) * si
-		vr := t.a.At(r, j) * sr
+	si := 1 / t.a[i*t.w+enter]
+	sr := 1 / t.a[r*t.w+enter]
+	for j := t.n; j < t.w; j++ {
+		vi := t.a[i*t.w+j] * si
+		vr := t.a[r*t.w+j] * sr
 		if vi != vr {
 			return vi < vr
 		}
@@ -466,8 +458,8 @@ func (t *tableau) lexLess(i, r, enter int) bool {
 
 // pivot makes column enter basic in row r.
 func (t *tableau) pivot(r, enter int) {
-	piv := t.a.At(r, enter)
-	rowR := t.a.Row(r)
+	piv := t.a[r*t.w+enter]
+	rowR := t.row(r)
 	inv := 1 / piv
 	for j := range rowR {
 		rowR[j] *= inv
@@ -479,17 +471,17 @@ func (t *tableau) pivot(r, enter int) {
 		if i == r {
 			continue
 		}
-		f := t.a.At(i, enter)
+		f := t.a[i*t.w+enter]
 		if f == 0 {
 			continue
 		}
-		rowI := t.a.Row(i)
+		rowI := t.row(i)
 		for j := range rowI {
 			rowI[j] -= f * rowR[j]
 		}
 		rowI[enter] = 0 // exact
 		t.b[i] -= f * t.b[r]
-		if t.b[i] < 0 && t.b[i] > -t.eps {
+		if t.b[i] < 0 && t.b[i] > -eps {
 			t.b[i] = 0
 		}
 	}
@@ -525,7 +517,7 @@ func (t *tableau) purgeArtificials() {
 			if t.inb[j] {
 				continue
 			}
-			if math.Abs(t.a.At(i, j)) > sqrtEps(t.eps) {
+			if math.Abs(t.a[i*t.w+j]) > sqrtEps {
 				t.pivot(i, j)
 				break
 			}

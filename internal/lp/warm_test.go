@@ -9,30 +9,29 @@ import (
 // randomDenseLP builds the LP of a random zero-sum matrix game — the
 // exact shape of the column-generation restricted master: maximize v
 // subject to v − Σ_k a_{sk}·p_k ≤ 0 for every scenario s, Σ_k p_k = 1,
-// p ≥ 0, v free. Phase 1 is a single pivot (only the probability row
-// needs an artificial) and phase 2 does the real work, which is where
-// warm starts matter.
-func randomDenseLP(t *testing.T, rng *rand.Rand, nStrats, nRows int, perturb float64) *Problem {
+// p ≥ 0, v free. In standard form that is min −v⁺ + v⁻ over columns
+// v⁺, v⁻, p_1..p_k and one slack per scenario row. Phase 1 is a single
+// pivot (only the probability row needs an artificial) and phase 2 does
+// the real work, which is where warm starts matter.
+func randomDenseLP(t *testing.T, rng *rand.Rand, nStrats, nRows int, perturb float64) *Standard {
 	t.Helper()
-	p := NewProblem(Maximize)
-	v := p.AddVar("v", Free, 1)
-	strats := make([]Var, nStrats)
-	for i := range strats {
-		strats[i] = p.AddVar("p", NonNegative, 0)
-	}
+	m, n := nRows+1, 2+nStrats+nRows
+	p := &Standard{M: m, N: n, A: make([]float64, m*n), B: make([]float64, m), C: make([]float64, n), Crash: make([]int, m)}
+	p.C[0], p.C[1] = -1, 1
 	for r := 0; r < nRows; r++ {
-		c := p.AddConstr("scenario", LE, 0)
-		p.SetCoeff(c, v, 1)
-		for i, s := range strats {
-			a := rng.Float64() + perturb*rng.NormFloat64()
-			_ = i
-			p.SetCoeff(c, s, -a)
+		row := p.A[r*n : (r+1)*n]
+		row[0], row[1] = 1, -1
+		for k := 0; k < nStrats; k++ {
+			row[2+k] = -(rng.Float64() + perturb*rng.NormFloat64())
 		}
+		row[2+nStrats+r] = 1
+		p.Crash[r] = 2 + nStrats + r
 	}
-	sum := p.AddConstr("prob", EQ, 1)
-	for _, s := range strats {
-		p.SetCoeff(sum, s, 1)
+	for k := 0; k < nStrats; k++ {
+		p.A[nRows*n+2+k] = 1
 	}
+	p.B[nRows] = 1
+	p.Crash[nRows] = -1
 	return p
 }
 
@@ -46,7 +45,7 @@ func TestWarmSameProblemMatchesCold(t *testing.T) {
 	if cold.Status != Optimal {
 		t.Fatalf("cold status = %v", cold.Status)
 	}
-	if cold.Basis == nil || len(cold.Basis.Rows) != p.NumConstrs() {
+	if len(cold.Basis) != p.M {
 		t.Fatalf("cold basis missing or wrong size: %+v", cold.Basis)
 	}
 
@@ -87,7 +86,7 @@ func TestWarmPerturbedProblemMatchesColdAndSavesPivots(t *testing.T) {
 
 		// Perturbed instance: same structure, slightly moved coefficients
 		// — the shape of a refit master.
-		mk := func() *Problem {
+		mk := func() *Standard {
 			r := rand.New(rand.NewSource(seed))
 			return randomDenseLP(t, r, 30, 20, 0.01)
 		}
@@ -122,53 +121,39 @@ func TestWarmIgnoresIncompatibleBasis(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wrong row count: basis must be ignored, solve still optimal.
-	bad := &Basis{Rows: make([]BasisEntry, 3)}
-	rng = rand.New(rand.NewSource(9))
-	q := randomDenseLP(t, rng, 10, 6, 0)
-	sol, err := q.Solve(Options{Warm: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("wrong-size warm basis changed the answer: %v obj %.12f vs %.12f", sol.Status, sol.Objective, cold.Objective)
-	}
-
-	// Garbage entries (out-of-range vars, artificials): dropped per entry.
-	ugly := &Basis{Rows: make([]BasisEntry, p.NumConstrs())}
-	for i := range ugly.Rows {
-		switch i % 3 {
-		case 0:
-			ugly.Rows[i] = BasisEntry{Kind: BasisStructural, Var: Var(999)}
-		case 1:
-			ugly.Rows[i] = BasisEntry{Kind: BasisArtificial}
-		default:
-			ugly.Rows[i] = BasisEntry{Kind: BasisSlack, Row: Constr(i)}
+	// Garbage columns — out of range, artificials, repeats, and a short
+	// list — are skipped; the solve stays optimal at the same value.
+	for name, warm := range map[string][]int{
+		"short":        {0, 1, 2},
+		"out of range": {999, -1, -7},
+		"artificials":  {p.N, p.N + 1, p.N + p.M - 1},
+		"repeats":      {2, 2, 2, 3, 3, 0, 0},
+	} {
+		rng = rand.New(rand.NewSource(9))
+		q := randomDenseLP(t, rng, 10, 6, 0)
+		sol, err := q.Solve(Options{Warm: warm})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rng = rand.New(rand.NewSource(9))
-	q = randomDenseLP(t, rng, 10, 6, 0)
-	sol, err = q.Solve(Options{Warm: ugly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("garbage warm basis changed the answer: %v obj %.12f vs %.12f", sol.Status, sol.Objective, cold.Objective)
+		if sol.Status != Optimal || math.Abs(sol.Objective-cold.Objective) > 1e-9 {
+			t.Fatalf("%s warm basis changed the answer: %v obj %.12f vs %.12f", name, sol.Status, sol.Objective, cold.Objective)
+		}
 	}
 }
 
 func TestWarmWithAddedVariables(t *testing.T) {
-	// Column generation shape: solve, add variables, warm start the
-	// grown problem with the old basis.
-	build := func(extra int) *Problem {
-		p := NewProblem(Minimize)
-		x := p.AddVar("x", NonNegative, 1)
-		y := p.AddVar("y", NonNegative, 2)
-		p.AddRow("cover", []Var{x, y}, []float64{1, 1}, GE, 4)
-		p.AddRow("cap", []Var{x}, []float64{1}, LE, 3)
+	// Column generation shape: solve, add columns, warm start the grown
+	// problem with the old basis. min x + 2y + ½Σz s.t. x + y + 1.5Σz ≥ 4,
+	// x ≤ 3; columns x, y, z_1..z_extra, the surplus, the slack.
+	build := func(extra int) *Standard {
+		n := 4 + extra
+		p := &Standard{M: 2, N: n, A: make([]float64, 2*n), B: []float64{4, 3}, C: make([]float64, n), Crash: []int{-1, n - 1}}
+		p.C[0], p.C[1] = 1, 2
+		p.A[0], p.A[1], p.A[n-2] = 1, 1, -1
+		p.A[n], p.A[2*n-1] = 1, 1
 		for i := 0; i < extra; i++ {
-			v := p.AddVar("z", NonNegative, 0.5)
-			p.SetCoeff(Constr(0), v, 1.5)
+			p.C[2+i] = 0.5
+			p.A[2+i] = 1.5
 		}
 		return p
 	}
@@ -179,11 +164,23 @@ func TestWarmWithAddedVariables(t *testing.T) {
 	if small.Status != Optimal {
 		t.Fatalf("small status = %v", small.Status)
 	}
-	grownCold, err := build(3).Solve(Options{})
+	// The new columns sit before the slacks, which shift by their
+	// count; artificials (≥ N) do not carry over.
+	const extra = 3
+	var warm []int
+	for _, j := range small.Basis {
+		switch {
+		case j < 2:
+			warm = append(warm, j)
+		case j < 4:
+			warm = append(warm, j+extra)
+		}
+	}
+	grownCold, err := build(extra).Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grownWarm, err := build(3).Solve(Options{Warm: small.Basis})
+	grownWarm, err := build(extra).Solve(Options{Warm: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
