@@ -38,9 +38,9 @@ chaos:
 	CHAOS_ITERS=$(CHAOS_ITERS) $(GO) test -race -run 'TestChaos|TestRefit(Retry|Breaker)|Fault|Checkpoint|Backpressure|JobTable' -v . ./internal/solver ./internal/serve
 	$(GO) test -race -run 'TestServeCrashRecovery' -v ./cmd/auditsim
 
-# PR names the benchmark artifact (BENCH_$(PR).json); override it when
-# cutting a new baseline, e.g. `make bench PR=PR6`.
-PR ?= PR10
+# PR names the benchmark artifact (BENCH_$(PR).json) and has no
+# default, so a bare `make bench` cannot overwrite a committed baseline:
+# cut a new one with `make bench PR=<name>` (writes BENCH_<name>.json).
 
 # bench runs the detection-probability, paper-table, scaled-workload,
 # warm-refit, policy-server, drift-tracker, and closed-loop simulation
@@ -54,6 +54,7 @@ PR ?= PR10
 # (cum_regret/refits/detection per strategy) — the drift-beats-static
 # margin, pinned per PR.
 bench:
+	@if [ -z "$(PR)" ]; then echo "make bench: set PR to name the artifact: make bench PR=<name> writes BENCH_<name>.json"; exit 1; fi
 	$(GO) test -run=NONE -bench='BenchmarkPal' -benchmem -benchtime=200x . > bench.out
 	$(GO) test -run=NONE -bench='BenchmarkServeSelect' -benchmem -benchtime=2000x . >> bench.out
 	$(GO) test -run=NONE -bench='BenchmarkTrackerObserve' -benchmem -benchtime=500000x . >> bench.out

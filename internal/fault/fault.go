@@ -46,8 +46,10 @@ const (
 	// SolverPricingRound fires once per column-generation pricing round
 	// (restricted-master solve + oracle pass) inside SolveState.run.
 	SolverPricingRound Point = "solver.pricing_round"
-	// PalWorker fires once per (chunk, ordering) work unit inside the
-	// detection-probability kernel's worker loop. Panic-only.
+	// PalWorker fires once per work unit of the detection-probability
+	// kernel: per (chunk × root subtree) cell in PalBatch, per
+	// (chunk × candidate) cell in ExtendDeltas, and per (root, chunk)
+	// step in PalGridSweep. Panic-only.
 	PalWorker Point = "game.pal_worker"
 	// LPPivot fires once per simplex pivot. Panic-only.
 	LPPivot Point = "lp.pivot"

@@ -93,25 +93,23 @@ type Instance struct {
 	classes     []entityClass
 	entityClass []int // entity index → class index
 	// zs/ws are the materialized realizations and weights of Src after
-	// duplicate rows merge their weights (sample.Dedup); Pal iterates
-	// these flat slices directly because it is the hottest loop in every
-	// solver. zrecip caches 1/max(z,1) per element so the kernel's
-	// audited-fraction term multiplies instead of divides.
-	zs     []float64 // flattened realizations, row-major [len(ws)][numTypes]
-	ws     []float64
-	zrecip []float64
-	nT     int
-	// zeffT/zrecipT are column-major companions of zs/zrecip —
-	// max(z, 1) and 1/max(z, 1) laid out [t][row] — so the trie walk
-	// (trie.go), which iterates rows with the type fixed, streams
-	// contiguous memory.
+	// duplicate rows merge their weights (sample.Dedup). The kernel's
+	// row steps read ws with the column-major companions below; zs feeds
+	// the budget-consumption columns and PalInjected.
+	zs []float64 // flattened realizations, row-major [len(ws)][numTypes]
+	ws []float64
+	nT int
+	// zeffT/zrecipT are max(z, 1) and 1/max(z, 1) laid out column-major
+	// [t][row], so the kernel's row steps (engine.go), which iterate rows
+	// with the type fixed, stream contiguous memory and multiply by a
+	// reciprocal instead of dividing.
 	zeffT   []float64
 	zrecipT []float64
 	// spCols caches per-(type, threshold) budget-consumption columns
 	// min(z_t·C_t, b_t) for the trie walk; see spentColumn (trie.go).
 	spCols spColCache
-	// scratch pools trie-walk worker state across pal evaluations;
-	// see getTrieScratch (trie.go).
+	// scratch pools kernel worker state across pal evaluations; see
+	// palRun (engine.go) and getTrieScratch (trie.go).
 	scratch sync.Pool
 
 	// palEvals counts orderings evaluated by the kernel (engine.go).
@@ -140,29 +138,19 @@ func NewInstance(g *Game, budget float64, src sample.Source) (*Instance, error) 
 		return nil, fmt.Errorf("game: realization source is empty")
 	}
 	in.ws = weights
-	in.zs = make([]float64, 0, len(rows)*in.nT)
-	in.zrecip = make([]float64, 0, len(rows)*in.nT)
-	for _, z := range rows {
-		for _, zt := range z {
+	nRows := len(rows)
+	in.zs = make([]float64, 0, nRows*in.nT)
+	in.zeffT = make([]float64, in.nT*nRows)
+	in.zrecipT = make([]float64, in.nT*nRows)
+	for zi, z := range rows {
+		for t, zt := range z {
 			v := float64(zt)
 			in.zs = append(in.zs, v)
 			if v < 1 {
 				v = 1 // the Z′ = max(Z, 1) convention of Eq. 1
 			}
-			in.zrecip = append(in.zrecip, 1/v)
-		}
-	}
-	nRows := len(rows)
-	in.zeffT = make([]float64, in.nT*nRows)
-	in.zrecipT = make([]float64, in.nT*nRows)
-	for zi := 0; zi < nRows; zi++ {
-		for t := 0; t < in.nT; t++ {
-			v := in.zs[zi*in.nT+t]
-			if v < 1 {
-				v = 1
-			}
 			in.zeffT[t*nRows+zi] = v
-			in.zrecipT[t*nRows+zi] = in.zrecip[zi*in.nT+t]
+			in.zrecipT[t*nRows+zi] = 1 / v
 		}
 	}
 	in.entityClass = make([]int, len(g.Entities))

@@ -2,9 +2,12 @@ package game
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"auditgame/internal/fault"
 	"auditgame/internal/sample"
 )
 
@@ -223,5 +226,82 @@ func TestPalEvalCounting(t *testing.T) {
 	in.Pal(os[0], b)
 	if got, want := in.PalEvals(), 2*len(os)+1; got != want {
 		t.Fatalf("PalEvals = %d after repeated evaluations, want %d", got, want)
+	}
+}
+
+// TestPalRunContainsWorkerPanic drives each kernel walk through the
+// parallel branch of the shared worker pool and fires one PalWorker
+// panic mid-call. The panic must reach the caller, every worker must
+// exit, and the next fault-free call must return the same bits as
+// before the fault.
+func TestPalRunContainsWorkerPanic(t *testing.T) {
+	g := trieTestGame(5, 7)
+	in, err := NewInstance(g, 12, sample.NewBank(g.Dists(), 8000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Workers = 4
+	defer fault.Disable()
+	os := AllOrderings(5)
+	b := Thresholds{3, 2, 4, 1, 3}
+	steps := []int{2, 2, 1, 1, 1}
+	cands := []int{0, 1, 2, 3, 4}
+	nRows, nChunks := in.NumRealizations(), in.numChunks()
+
+	kernels := []struct {
+		name        string
+		units, work int
+		run         func() [][]float64
+	}{
+		{"PalBatch", nChunks * 5, nRows * len(os), func() [][]float64 {
+			return in.PalBatch(os, b)
+		}},
+		{"PalGridSweep", 5, nRows * len(os), func() [][]float64 {
+			return in.PalGridSweep(os, steps).Pals([]int{1, 2, 0, 1, 1})
+		}},
+		{"ExtendDeltas", nChunks * (len(cands) - 1), nRows * (len(cands) - 1), func() [][]float64 {
+			pp, err := NewPrefixPricer(in, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp.Advance(3, pp.ExtendDeltas(cands)[3])
+			return [][]float64{pp.ExtendDeltas([]int{0, 1, 2, 4})}
+		}},
+	}
+	for _, k := range kernels {
+		if k.work < palParallelMinWork || in.workerCount(k.units, k.work) < 2 {
+			t.Fatalf("%s: %d units of work %d stay serial; the test needs the parallel pool", k.name, k.units, k.work)
+		}
+		want := k.run()
+		base := runtime.NumGoroutine()
+
+		fault.Enable(fault.Plan{Rules: []fault.Rule{
+			{Point: fault.PalWorker, Mode: fault.ModePanic, Prob: 1, After: 2, MaxFires: 1},
+		}})
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			k.run()
+		}()
+		fired := fault.Snapshot()[fault.PalWorker].Fires
+		fault.Disable()
+		if p, ok := got.(*fault.Panic); !ok || p.Point != fault.PalWorker || fired != 1 {
+			t.Fatalf("%s: caller recovered %v (%d firings), want one PalWorker panic", k.name, got, fired)
+		}
+
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines after the contained panic, %d before", k.name, n, base)
+		}
+
+		again := k.run()
+		for i := range want {
+			if !bitsEqual(again[i], want[i]) {
+				t.Fatalf("%s: row %d after the contained panic = %v, before = %v", k.name, i, again[i], want[i])
+			}
+		}
 	}
 }

@@ -1,12 +1,6 @@
 package game
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
-)
+import "math"
 
 // A brute-force sweep evaluates the same ordering batch at every integer
 // threshold vector of a grid — and re-walks the whole trie per grid
@@ -19,13 +13,14 @@ import (
 // applied across the threshold grid instead of along one ordering.
 //
 // Bitwise contract: Pals(ks) equals PalBatch(os, b(ks)) bit for
-// bit. Per (node, threshold-prefix) the row operations are the ones the
-// fixed-threshold walk performs at that node, in the same row order
-// over the same chunks, and chunk partials accumulate into the table in
-// chunk-index order — the same merge order palCompute uses. Subtrees
-// whose live set empties are still traversed (their grid points need
-// the ancestors' contributions) but skip all row work; the skipped
-// positions contribute exact zeros, as in the fixed-threshold walk.
+// bit. Per (node, threshold-prefix) the sweep takes the palLeaf or
+// palFold step the fixed-threshold walk takes at that node, over the
+// same live rows of the same chunks, and chunk partials accumulate into
+// the table in chunk-index order — the same merge order palCompute
+// uses. Subtrees whose live set empties are still traversed (their grid
+// points need the ancestors' contributions), their steps running over
+// no rows; the skipped positions contribute exact zeros, as in the
+// fixed-threshold walk.
 
 // PalGrid is the detection-probability table of one ordering batch
 // swept over a full integer threshold grid by PalGridSweep.
@@ -118,83 +113,35 @@ func (in *Instance) PalGridSweep(os []Ordering, steps []int) *PalGrid {
 	}
 
 	pg := &PalGrid{nT: nT, nOs: len(os), stride: stride, data: make([]float64, nGrid*len(os)*nT)}
-	nRoots := len(tr.rootAt) - 1
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
+	nChunks := in.numChunks()
 
 	// Work units are root subtrees: two roots emit into disjoint table
 	// regions (their leaf orderings differ in the first type), while one
 	// root's chunks must accumulate in chunk-index order, so each unit
-	// walks its chunks serially. Panic containment as in palCompute.
-	unit := func(r int, sc *trieScratch, typStack []int32, contrib []float64) {
+	// walks its chunks serially, one PalWorker fault hit per (root, chunk).
+	in.palRun(len(tr.rootAt)-1, nRows*len(os), tr.maxDepth, func(r int, sc *trieScratch) {
 		for c := 0; c < nChunks; c++ {
-			if err := fault.Inject(fault.PalWorker); err != nil {
-				panic(err)
-			}
-			lo := c * palChunkRows
-			hi := lo + palChunkRows
-			if hi > nRows {
-				hi = nRows
-			}
-			in.palGridChunk(tr, lo, hi, r, spColK, capK, leafOrd, pg, sc, typStack, contrib)
+			palFault()
+			lo, hi := in.chunkSpan(c)
+			in.palGridChunk(tr, lo, hi, r, spColK, capK, leafOrd, pg, sc)
 		}
-	}
-	if workers := in.workerCount(nRoots, nRows*len(os)); workers > 1 {
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				sc := in.getTrieScratch(tr.maxDepth)
-				typStack := make([]int32, tr.maxDepth)
-				contrib := make([]float64, tr.maxDepth)
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= nRoots {
-						in.scratch.Put(sc)
-						return
-					}
-					unit(r, sc, typStack, contrib)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		sc := in.getTrieScratch(tr.maxDepth)
-		typStack := make([]int32, tr.maxDepth)
-		contrib := make([]float64, tr.maxDepth)
-		for r := 0; r < nRoots; r++ {
-			unit(r, sc, typStack, contrib)
-		}
-		in.scratch.Put(sc)
-	}
+	})
 	in.palEvals.Add(int64(nGrid * len(os)))
 	return pg
 }
 
 // palGridChunk walks root subtree r over rows [lo, hi), sweeping each
 // node's threshold values and accumulating each ordering's per-position
-// sums into the table at that ordering's leaf. Row-level mechanics —
-// fold, contribution guard, live lists, spent checkpoints — mirror
-// palTrieChunk exactly; see the contract at the top of the file.
-func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float64, capK [][]float64, leafOrd []int32, pg *PalGrid, sc *trieScratch, typStack []int32, contrib []float64) {
+// sums into the table at that ordering's leaf. Each (node, threshold)
+// is one palLeaf or palFold step; see the contract at the top of the
+// file.
+func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float64, capK [][]float64, leafOrd []int32, pg *PalGrid, sc *trieScratch) {
 	n := hi - lo
-	nRows := len(in.ws)
-	budget := in.Budget
-	ws := in.ws[lo:hi]
 	skip := tr.skip
 	nOs, nT := pg.nOs, pg.nT
 	stride := pg.stride
 	data := pg.data
+	typStack, contrib := sc.typStack, sc.contrib
 
 	var walkNode func(i int32, d int, idx int)
 	walkRange := func(s, e int32, d int, idx int) {
@@ -203,101 +150,19 @@ func (in *Instance) palGridChunk(tr *palTrie, lo, hi, r int, spColK [][][]float6
 		}
 	}
 	walkNode = func(i int32, d int, idx int) {
-		var pSpent []float64
-		var pLive []int32
-		if d == 0 {
-			pSpent, pLive = sc.zero[:n], sc.all[:n]
-		} else {
-			pSpent, pLive = sc.spent[(d-1)*palChunkRows:(d-1)*palChunkRows+n], sc.live[d-1]
-		}
+		spent, live := sc.at(d, n)
 		t := int(tr.typ[i])
-		ct := tr.cost[i]
-		zeff := in.zeffT[t*nRows+lo : t*nRows+hi]
-		recip := in.zrecipT[t*nRows+lo : t*nRows+hi]
 		typStack[d] = tr.typ[i]
 		leaf := skip[i] == i+1
-		cm := tr.childMin[i]
-		for k := 0; k < len(capK[i]); k++ {
-			capk := capK[i][k]
-			var a float64
+		for k, capk := range capK[i] {
 			if leaf {
-				if ct == 1 {
-					for _, rr := range pLive {
-						nt := math.Floor(budget - pSpent[rr])
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-					}
-				} else {
-					for _, rr := range pLive {
-						nt := math.Floor((budget - pSpent[rr]) / ct)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-					}
-				}
-				contrib[d] = a
+				contrib[d] = in.palLeaf(t, lo, hi, capk, spent, live)
 				base := ((idx+k*stride[t])*nOs + int(leafOrd[i])) * nT
 				for dd := 0; dd <= d; dd++ {
 					data[base+int(typStack[dd])] += contrib[dd]
 				}
 			} else {
-				sp := spColK[i][k][lo:hi]
-				cur := sc.spent[d*palChunkRows : d*palChunkRows+n]
-				myLive := sc.live[d][:0]
-				if ct == 1 {
-					for _, rr := range pLive {
-						spent := pSpent[rr]
-						nt := math.Floor(budget - spent)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-						ns := spent + sp[rr]
-						cur[rr] = ns
-						if budget-ns >= cm {
-							myLive = append(myLive, rr)
-						}
-					}
-				} else {
-					for _, rr := range pLive {
-						spent := pSpent[rr]
-						nt := math.Floor((budget - spent) / ct)
-						if capk < nt {
-							nt = capk
-						}
-						if z := zeff[rr]; z < nt {
-							nt = z
-						}
-						if nt > 0 {
-							a += ws[rr] * nt * recip[rr]
-						}
-						ns := spent + sp[rr]
-						cur[rr] = ns
-						if budget-ns >= cm {
-							myLive = append(myLive, rr)
-						}
-					}
-				}
-				sc.live[d] = myLive
-				contrib[d] = a
+				contrib[d] = in.palFold(sc, d, t, lo, hi, capk, tr.childMin[i], spColK[i][k])
 				walkRange(i+1, skip[i], d+1, idx+k*stride[t])
 			}
 		}

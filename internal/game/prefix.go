@@ -3,10 +3,6 @@ package game
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
 )
 
 // PrefixPricer is the incremental pricing kernel behind the greedy CGGS
@@ -23,23 +19,20 @@ import (
 // only the appended position per row: O(rows) per candidate, O(|T|·rows)
 // per greedy step, O(|T|²·rows) per column.
 //
-// Bitwise contract: ExtendDelta's result equals, bit for bit, the pal
-// entry the batched kernel would compute for pal(prefix+t)[t] — the
-// spent fold performs the same additions in the same (prefix) order as
-// the full walk, rows chunk exactly like the parallel engine
-// (palChunkRows boundaries, chunk-index merge), and whenever the full
-// walk's early-exit would have skipped the appended position, the
-// checkpointed remainder is below the candidate's cost and contributes
-// the same exact zero. A PrefixPricer is not safe for concurrent use.
+// Bitwise contract: ExtendDeltas' entry for t equals, bit for bit, the
+// pal entry the batched kernel computes for pal(prefix+t)[t]. It is the
+// kernel's own leaf step (palLeaf) over each chunk, against checkpoints
+// that Advance folds with the same spentColumn additions in the same
+// (prefix) order as the trie walk; rows chunk on the same palChunkRows
+// boundaries and merge in chunk-index order; and the rows the walk's
+// live lists would have dropped add exact zeros. A PrefixPricer is not
+// safe for concurrent use.
 type PrefixPricer struct {
 	in *Instance
 	b  Thresholds
 
-	// Per-type constants, hoisted once per (instance, threshold vector):
-	// audit cost C_t, audit cap ⌊b_t/C_t⌋, and the threshold itself.
-	cost []float64
+	// capn[t] is type t's audit cap ⌊b_t/C_t⌋.
 	capn []float64
-	bthr []float64
 
 	prefix   Ordering
 	inPrefix []bool
@@ -62,24 +55,18 @@ func NewPrefixPricer(in *Instance, b Thresholds) (*PrefixPricer, error) {
 	if len(b) != nT {
 		return nil, fmt.Errorf("game: thresholds have %d entries, want |T| = %d", len(b), nT)
 	}
-	nRows := len(in.ws)
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
 	pp := &PrefixPricer{
 		in:          in,
 		b:           b.Clone(),
-		cost:        make([]float64, nT),
 		capn:        make([]float64, nT),
-		bthr:        make([]float64, nT),
 		prefix:      make(Ordering, 0, nT),
 		inPrefix:    make([]bool, nT),
 		pal:         make([]float64, nT),
-		spent:       make([]float64, nRows),
-		chunkMaxRem: make([]float64, nChunks),
+		spent:       make([]float64, len(in.ws)),
+		chunkMaxRem: make([]float64, in.numChunks()),
 	}
 	for t := 0; t < nT; t++ {
-		pp.cost[t] = in.G.Types[t].Cost
-		pp.capn[t] = math.Floor(b[t] / pp.cost[t])
-		pp.bthr[t] = b[t]
+		pp.capn[t] = math.Floor(b[t] / in.G.Types[t].Cost)
 	}
 	for c := range pp.chunkMaxRem {
 		pp.chunkMaxRem[c] = in.Budget
@@ -110,64 +97,24 @@ func (pp *PrefixPricer) ExtendDeltas(cands []int) []float64 {
 		}
 	}
 	in := pp.in
-	nRows := len(in.ws)
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
+	nChunks := in.numChunks()
 	partials := make([][]float64, nChunks)
 	for c := range partials {
 		partials[c] = make([]float64, len(cands))
 	}
-	cell := func(unit int) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// Panic-only point, same containment story as palCompute:
-			// either the worker pool below or the solver entry guard
-			// converts it back to a typed error.
-			panic(err)
-		}
-		c, j := unit/len(cands), unit%len(cands)
+	// Each cell is one palLeaf step over all of its chunk's rows against
+	// the checkpointed spent values. A chunk whose every remainder is
+	// below one audit of t only holds rows that add exact zeros.
+	in.palRun(nChunks*len(cands), len(in.ws)*len(cands), 0, func(u int, _ *trieScratch) {
+		palFault()
+		c, j := u/len(cands), u%len(cands)
 		t := cands[j]
-		if pp.chunkMaxRem[c] < pp.cost[t] {
-			return // every row's remainder is below one audit: exact zero
+		if pp.chunkMaxRem[c] < in.G.Types[t].Cost {
+			return
 		}
-		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
-		partials[c][j] = pp.extendChunk(lo, hi, t)
-	}
-
-	nUnits := nChunks * len(cands)
-	if workers := in.workerCount(nUnits, nRows*len(cands)); workers > 1 {
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						return
-					}
-					cell(u)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		for u := 0; u < nUnits; u++ {
-			cell(u)
-		}
-	}
+		lo, hi := in.chunkSpan(c)
+		partials[c][j] = in.palLeaf(t, lo, hi, pp.capn[t], pp.spent[lo:hi], allRows[:hi-lo])
+	})
 
 	deltas := make([]float64, len(cands))
 	for c := 0; c < nChunks; c++ {
@@ -178,82 +125,26 @@ func (pp *PrefixPricer) ExtendDeltas(cands []int) []float64 {
 	return deltas
 }
 
-// extendChunk is ExtendDeltas' inner loop: the appended position of
-// candidate t over rows [lo, hi), against the checkpointed spent values —
-// the same operations the per-ordering reference kernel (palChunk,
-// trie_test.go) performs at that position of a full walk.
-func (pp *PrefixPricer) extendChunk(lo, hi int, t int) float64 {
-	in := pp.in
-	nT := in.nT
-	budget := in.Budget
-	zs := in.zs
-	zrecip := in.zrecip
-	ws := in.ws
-	spent := pp.spent
-	ct := pp.cost[t]
-	capT := pp.capn[t]
-	var acc float64
-	for zi := lo; zi < hi; zi++ {
-		rem := budget - spent[zi]
-		if rem < ct {
-			continue // avail rounds to zero; the full walk adds nothing
-		}
-		var avail float64
-		if ct == 1 {
-			avail = math.Floor(rem)
-		} else {
-			avail = math.Floor(rem / ct)
-		}
-		zt := zs[zi*nT+t]
-		ztEff := zt
-		if ztEff < 1 {
-			ztEff = 1
-		}
-		nt := avail
-		if capT < nt {
-			nt = capT
-		}
-		if ztEff < nt {
-			nt = ztEff
-		}
-		if nt > 0 {
-			acc += ws[zi] * nt * zrecip[zi*nT+t]
-		}
-	}
-	return acc
-}
-
 // Advance appends type t to the prefix, folding its budget consumption
-// into every row's checkpoint — the same spent += min(z_t·C_t, b_t)
-// addition, in the same prefix order, the full walk performs — and
-// records delta (t's ExtendDeltas value) as the prefix pal entry.
+// min(z_t·C_t, b_t) (the trie walk's spentColumn) into every row's
+// checkpoint — the same addition, in the same prefix order, the full
+// walk performs — and records delta (t's ExtendDeltas value) as the
+// prefix pal entry.
 func (pp *PrefixPricer) Advance(t int, delta float64) {
 	if t < 0 || t >= pp.in.nT || pp.inPrefix[t] {
 		panic(fmt.Sprintf("game: Advance type %d invalid for prefix %v", t, pp.prefix))
 	}
 	in := pp.in
-	nT := in.nT
-	zs := in.zs
 	budget := in.Budget
-	ct := pp.cost[t]
-	bt := pp.bthr[t]
+	sp := in.spentColumn(t, pp.b[t])
 	spent := pp.spent
-	nRows := len(spent)
 	for c := range pp.chunkMaxRem {
-		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
+		lo, hi := in.chunkSpan(c)
 		maxRem := 0.0
 		for zi := lo; zi < hi; zi++ {
-			s := zs[zi*nT+t] * ct
-			if bt < s {
-				s = bt
-			}
-			sp := spent[zi] + s
-			spent[zi] = sp
-			if rem := budget - sp; rem > maxRem {
+			s := spent[zi] + sp[zi]
+			spent[zi] = s
+			if rem := budget - s; rem > maxRem {
 				maxRem = rem
 			}
 		}

@@ -3,9 +3,6 @@ package game
 import (
 	"math"
 	"sync"
-	"sync/atomic"
-
-	"auditgame/internal/fault"
 )
 
 // Batched orderings share work through their common prefixes: the budget
@@ -22,11 +19,12 @@ import (
 // Determinism/equivalence contract: the trie walk is bitwise-identical
 // to walking each ordering independently. Each trie node accumulates the
 // contribution of its own (prefix, type) position over a chunk's rows in
-// row order — the same floating-point operations, in the same order, as
-// the per-ordering kernel performed at that position — and per-ordering
-// results are assembled by summing each path node across chunks in
-// chunk-index order, exactly as the per-ordering kernel merged its
-// chunk partials. Subtree skipping (below) only ever skips positions
+// row order — one palLeaf or palFold step (engine.go), the same
+// floating-point operations, in the same order, as the per-ordering
+// reference kernel (trie_test.go) performs at that position — and
+// per-ordering results are assembled by summing each path node across
+// chunks in chunk-index order, exactly as the per-ordering kernel merged
+// its chunk partials. Subtree skipping (below) only ever skips positions
 // whose contribution is zero, so it changes work, never results.
 
 // palTrie is the flattened prefix trie of one ordering batch, laid out
@@ -210,8 +208,7 @@ func (in *Instance) buildPalTrie(os []Ordering, b Thresholds) *palTrie {
 // like the per-ordering kernel's chunk partials did.
 func (in *Instance) palCompute(os []Ordering, b Thresholds) [][]float64 {
 	nT := len(in.G.Types)
-	nRows := len(in.ws)
-	nChunks := (nRows + palChunkRows - 1) / palChunkRows
+	nChunks := in.numChunks()
 	tr := in.buildPalTrie(os, b)
 	nNodes := len(tr.typ)
 	nRoots := len(tr.rootAt) - 1
@@ -221,65 +218,12 @@ func (in *Instance) palCompute(os []Ordering, b Thresholds) [][]float64 {
 	for c := range partials {
 		partials[c] = pbacking[c*nNodes : (c+1)*nNodes : (c+1)*nNodes]
 	}
-	cell := func(unit int, sc *trieScratch) {
-		if err := fault.Inject(fault.PalWorker); err != nil {
-			// The kernel has no error return; panic-only point. The
-			// worker containment below (or, on the serial path, the
-			// solver entry guard) turns it back into a typed error.
-			panic(err)
-		}
-		c, r := unit/nRoots, unit%nRoots
-		lo := c * palChunkRows
-		hi := lo + palChunkRows
-		if hi > nRows {
-			hi = nRows
-		}
+	in.palRun(nChunks*nRoots, len(in.ws)*len(os), tr.maxDepth, func(u int, sc *trieScratch) {
+		palFault()
+		c, r := u/nRoots, u%nRoots
+		lo, hi := in.chunkSpan(c)
 		in.palTrieChunk(tr, lo, hi, tr.rootAt[r], tr.rootAt[r+1], partials[c], sc)
-	}
-
-	nUnits := nChunks * nRoots
-	if workers := in.workerCount(nUnits, nRows*len(os)); workers > 1 {
-		// Panic containment: a panicking worker must not kill the
-		// process (callers above the solver entry points expect a typed
-		// error) and must not strand its siblings. The first panic value
-		// is captured here; the panicking worker exits, the remaining
-		// workers drain the remaining units, wg.Wait returns, and the
-		// panic is re-raised on the calling goroutine, where the solver
-		// entry guard converts it to a *SolveError.
-		var panicked atomic.Pointer[palPanic]
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicked.CompareAndSwap(nil, &palPanic{val: r})
-					}
-				}()
-				sc := in.getTrieScratch(tr.maxDepth)
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= nUnits {
-						in.scratch.Put(sc)
-						return
-					}
-					cell(u, sc)
-				}
-			}()
-		}
-		wg.Wait()
-		if p := panicked.Load(); p != nil {
-			panic(p.val)
-		}
-	} else {
-		sc := in.getTrieScratch(tr.maxDepth)
-		for u := 0; u < nUnits; u++ {
-			cell(u, sc)
-		}
-		in.scratch.Put(sc)
-	}
+	})
 
 	// Deterministic merge: chunk-index order per node, every worker
 	// count, then scatter node sums back to each ordering's pal row.
@@ -349,161 +293,83 @@ func (in *Instance) spentColumn(t int, bt float64) []float64 {
 }
 
 // trieScratch is one worker's walk state: per-depth spent checkpoints
-// and live-row index lists over a chunk's rows, plus the constant
-// depth-"-1" state every root subtree starts from.
+// and live-row index lists over a chunk's rows, and the grid sweep's
+// per-depth path of types and contributions.
 type trieScratch struct {
-	spent []float64 // [depth][row], flat maxDepth × palChunkRows
-	live  [][]int32 // per-depth surviving row indices (chunk-relative)
-	all   []int32   // 0..palChunkRows-1
-	zero  []float64 // palChunkRows zeros
+	spent    []float64 // [depth][row], flat depth × palChunkRows
+	live     [][]int32 // per-depth surviving row indices (chunk-relative)
+	typStack []int32   // grid sweep: type at each depth of the current path
+	contrib  []float64 // grid sweep: contribution at each depth of the path
 }
 
-// getTrieScratch pulls a pooled scratch, reallocating only when a
-// deeper trie than any previous walk needs more checkpoint rows. No
-// zeroing on reuse: the walk never reads a scratch cell it has not
-// written on the current live path (depth-d checkpoints are consumed
-// only through the depth-d live list, which is rebuilt per subtree).
-func (in *Instance) getTrieScratch(maxDepth int) *trieScratch {
-	if v := in.scratch.Get(); v != nil {
-		if sc := v.(*trieScratch); len(sc.live) >= maxDepth {
-			return sc
+// allRows (every chunk row, in order) and zeroSpent are the read-only
+// state every root starts from: all rows live, nothing spent.
+var (
+	allRows = func() []int32 {
+		rows := make([]int32, palChunkRows)
+		for r := range rows {
+			rows[r] = int32(r)
 		}
-	}
-	return newTrieScratch(maxDepth)
-}
+		return rows
+	}()
+	zeroSpent = make([]float64, palChunkRows)
+)
 
-func newTrieScratch(maxDepth int) *trieScratch {
-	sc := &trieScratch{
-		spent: make([]float64, maxDepth*palChunkRows),
-		live:  make([][]int32, maxDepth),
-		all:   make([]int32, palChunkRows),
-		zero:  make([]float64, palChunkRows),
+// getTrieScratch pulls a pooled scratch, growing it only when a deeper
+// walk than any previous one needs more depths. No zeroing on reuse:
+// the walk never reads a scratch cell it has not written on the current
+// live path (depth-d checkpoints are consumed only through the depth-d
+// live list, which is rebuilt per subtree).
+func (in *Instance) getTrieScratch(maxDepth int) *trieScratch {
+	sc, _ := in.scratch.Get().(*trieScratch)
+	if sc == nil {
+		sc = new(trieScratch)
 	}
-	for d := range sc.live {
-		sc.live[d] = make([]int32, 0, palChunkRows)
-	}
-	for r := range sc.all {
-		sc.all[r] = int32(r)
+	if len(sc.live) < maxDepth {
+		sc.spent = make([]float64, maxDepth*palChunkRows)
+		for len(sc.live) < maxDepth {
+			sc.live = append(sc.live, make([]int32, 0, palChunkRows))
+		}
+		sc.typStack = make([]int32, maxDepth)
+		sc.contrib = make([]float64, maxDepth)
 	}
 	return sc
 }
 
+// at returns the spent checkpoints and live rows a depth-d node starts
+// from over an n-row chunk: the depth-(d−1) state, or the root state.
+func (sc *trieScratch) at(d, n int) ([]float64, []int32) {
+	if d == 0 {
+		return zeroSpent[:n], allRows[:n]
+	}
+	return sc.spent[(d-1)*palChunkRows : (d-1)*palChunkRows+n], sc.live[d-1]
+}
+
 // palTrieChunk accumulates realization rows [lo, hi) over the trie
-// subtree [s, e) into acc (one scalar per node). This is the innermost
-// loop of every solver. The walk is node-outer/row-inner: per node the
-// type's constants and columns are hoisted and the row loop streams the
-// parent depth's spent checkpoints, so each step is a handful of
-// sequential loads — where the row-outer walk paid per-node metadata
-// loads and unpredictable branches on every step. Per-depth live lists
-// reproduce the row-level early exit: a row whose post-fold remainder
-// drops below the cheapest descendant cost (childMin) leaves the list,
-// which is exactly the rem < subMin subtree skip of the per-ordering
-// kernel — it only ever drops zero-contribution positions, and a row
-// kept past a child whose own subMin exceeds the remainder contributes
-// the same exact zero through the nt > 0 guard, so sums are bitwise
-// unchanged (see the contract above).
+// subtree [s, e) into acc (one scalar per node). The walk is
+// node-outer/row-inner: each node is one palLeaf or palFold step over
+// the rows still live at its parent's depth. A row whose post-fold
+// remainder drops below the cheapest descendant cost (childMin) leaves
+// the list, which is exactly the rem < subMin subtree skip of the
+// per-ordering kernel — it only ever drops zero-contribution positions,
+// and a row kept past a child whose own subMin exceeds the remainder
+// contributes the same exact zero through the n_t > 0 guard, so sums
+// are bitwise unchanged (see the contract above).
 func (in *Instance) palTrieChunk(tr *palTrie, lo, hi int, s, e int32, acc []float64, sc *trieScratch) {
 	n := hi - lo
-	nRows := len(in.ws)
-	budget := in.Budget
-	ws := in.ws[lo:hi]
-	skip, depth := tr.skip, tr.depth
-	i := s
-	for i < e {
-		d := int(depth[i])
-		var pSpent []float64
-		var pLive []int32
-		if d == 0 {
-			pSpent, pLive = sc.zero[:n], sc.all[:n]
-		} else {
-			pSpent, pLive = sc.spent[(d-1)*palChunkRows:(d-1)*palChunkRows+n], sc.live[d-1]
-		}
-		if len(pLive) == 0 {
-			i = skip[i] // no live row can afford any audit in this subtree
+	for i := s; i < e; {
+		d := int(tr.depth[i])
+		spent, live := sc.at(d, n)
+		if len(live) == 0 {
+			i = tr.skip[i] // no live row can afford any audit in this subtree
 			continue
 		}
 		t := int(tr.typ[i])
-		ct := tr.cost[i]
-		capK := tr.capn[i]
-		zeff := in.zeffT[t*nRows+lo : t*nRows+hi]
-		recip := in.zrecipT[t*nRows+lo : t*nRows+hi]
-		var a float64
-		if skip[i] == i+1 {
-			// Leaf: contribution only, no fold, no live list.
-			if ct == 1 {
-				for _, rr := range pLive {
-					nt := math.Floor(budget - pSpent[rr])
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-				}
-			} else {
-				for _, rr := range pLive {
-					nt := math.Floor((budget - pSpent[rr]) / ct)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-				}
-			}
+		if tr.skip[i] == i+1 {
+			acc[i] += in.palLeaf(t, lo, hi, tr.capn[i], spent, live)
 		} else {
-			sp := tr.spCol[i][lo:hi]
-			cur := sc.spent[d*palChunkRows : d*palChunkRows+n]
-			myLive := sc.live[d][:0]
-			cm := tr.childMin[i]
-			if ct == 1 {
-				for _, rr := range pLive {
-					spent := pSpent[rr]
-					nt := math.Floor(budget - spent)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-					ns := spent + sp[rr]
-					cur[rr] = ns
-					if budget-ns >= cm {
-						myLive = append(myLive, rr)
-					}
-				}
-			} else {
-				for _, rr := range pLive {
-					spent := pSpent[rr]
-					nt := math.Floor((budget - spent) / ct)
-					if capK < nt {
-						nt = capK
-					}
-					if z := zeff[rr]; z < nt {
-						nt = z
-					}
-					if nt > 0 {
-						a += ws[rr] * nt * recip[rr]
-					}
-					ns := spent + sp[rr]
-					cur[rr] = ns
-					if budget-ns >= cm {
-						myLive = append(myLive, rr)
-					}
-				}
-			}
-			sc.live[d] = myLive
+			acc[i] += in.palFold(sc, d, t, lo, hi, tr.capn[i], tr.childMin[i], tr.spCol[i])
 		}
-		acc[i] += a
 		i++
 	}
 }

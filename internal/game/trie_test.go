@@ -157,12 +157,10 @@ func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow 
 	nT := in.nT
 	budget := in.Budget
 	zs := in.zs
-	zrecip := in.zrecip
 	ws := in.ws
 	for zi := lo; zi < hi; zi++ {
 		base := zi * nT
 		row := zs[base : base+nT]
-		recip := zrecip[base : base+nT]
 		w := ws[zi]
 		spent := 0.0
 		for i, t := range o {
@@ -190,7 +188,7 @@ func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow 
 				nt = ztEff
 			}
 			if nt > 0 {
-				accRow[t] += w * nt * recip[t]
+				accRow[t] += w * nt * (1 / ztEff)
 			}
 			s := zt * ct
 			if bt := bk[i]; bt < s {
@@ -199,4 +197,82 @@ func (in *Instance) palChunk(lo, hi int, o Ordering, ck, capk, bk, mink, accRow 
 			spent += s
 		}
 	}
+}
+
+// shiftedSource is src with one alert type's count raised by one in
+// every realization: the world PalInjected evaluates, where the attack
+// alert joins its bin.
+type shiftedSource struct {
+	src sample.Source
+	t   int
+}
+
+func (s shiftedSource) Each(fn func(z sample.Realization, w float64)) {
+	var buf sample.Realization
+	s.src.Each(func(z sample.Realization, w float64) {
+		buf = append(buf[:0], z...)
+		buf[s.t]++
+		fn(buf, w)
+	})
+}
+
+func (s shiftedSource) Size() int { return s.src.Size() }
+
+// TestPalInjectedMatchesShiftedKernel pins PalInjected to the shared
+// kernel: an attack of type t that joins its bin is the kernel's Eq. 1
+// on a source whose z_t is one higher in every row. Z′_t = z_t + 1 ≥ 1
+// there, so the kernel's max(Z, 1) convention never engages, and the
+// two differ only in rounding: PalInjected divides by z_t + 1 row by
+// row where the kernel multiplies by its reciprocal and sums per chunk.
+func TestPalInjectedMatchesShiftedKernel(t *testing.T) {
+	var cases, bitEqual int
+	worst := 0.0
+	for _, tc := range []struct {
+		nT, bank int
+		seed     int64
+	}{
+		{4, 100, 1},
+		{6, 600, 2},
+		{8, 1500, 3}, // 2 chunks
+	} {
+		g := trieTestGame(tc.nT, tc.seed)
+		src := sample.NewBank(g.Dists(), tc.bank, tc.seed)
+		budget := float64(tc.nT) * 2.5
+		in, err := NewInstance(g, budget, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(tc.seed * 53))
+		b := make(Thresholds, tc.nT)
+		for i := range b {
+			b[i] = float64(rng.Intn(10))
+		}
+		var os []Ordering
+		for i := 0; i < 5; i++ {
+			p := Ordering(rng.Perm(tc.nT))
+			os = append(os, p, p[:rng.Intn(tc.nT)+1].Clone())
+		}
+		for ty := 0; ty < tc.nT; ty++ {
+			shifted, err := NewInstance(g, budget, shiftedSource{src, ty})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := shifted.PalBatch(os, b)
+			for k, o := range os {
+				got := in.PalInjected(o, b, ty)
+				cases++
+				if math.Float64bits(got) == math.Float64bits(want[k][ty]) {
+					bitEqual++
+					continue
+				}
+				rel := math.Abs(got-want[k][ty]) / math.Max(math.Abs(got), math.Abs(want[k][ty]))
+				worst = math.Max(worst, rel)
+				if rel > 1e-12 {
+					t.Fatalf("nT=%d type %d ordering %v: PalInjected = %v, kernel on the shifted source = %v (rel %.3g)",
+						tc.nT, ty, o, got, want[k][ty], rel)
+				}
+			}
+		}
+	}
+	t.Logf("%d cases, %d bit-equal, worst relative gap %.3g", cases, bitEqual, worst)
 }

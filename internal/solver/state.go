@@ -146,7 +146,7 @@ func (st *SolveState) Solve(ctx context.Context, in *game.Instance, b game.Thres
 // warm. Structural mismatch falls back to a cold Solve.
 func (st *SolveState) Refit(ctx context.Context, in *game.Instance, b game.Thresholds, tv []float64) (pol *MixedPolicy, err error) {
 	defer st.contain("cggs.refit", &err)
-	if !st.valid || st.fingerprint != in.StructuralFingerprint() || st.thresholds.Key() != b.Key() {
+	if !st.valid || st.fingerprint != in.StructuralFingerprint() || !slices.Equal(st.thresholds, b) {
 		return st.Solve(ctx, in, b)
 	}
 

@@ -158,6 +158,29 @@ func TestSolveStateStructuralChangeFallsBackCold(t *testing.T) {
 	}
 }
 
+// TestSolveStateRefitThresholdBelowKeyPrecisionRunsCold: the pool and
+// basis were priced at the exact thresholds of the last solve, so a
+// change too small for Thresholds.Key's 12 significant digits is still
+// a threshold change and must fall back cold.
+func TestSolveStateRefitThresholdBelowKeyPrecisionRunsCold(t *testing.T) {
+	ctx := context.Background()
+	b := game.Thresholds{2, 2, 2}
+	nudged := game.Thresholds{2, 2, 2 + 1e-13}
+	if b.Key() != nudged.Key() {
+		t.Fatalf("keys %q and %q differ; the case no longer tests sub-key precision", b.Key(), nudged.Key())
+	}
+	st := NewSolveState(CGGSOptions{})
+	if _, err := st.Solve(ctx, instanceOf(t, testGame(), 2), b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Refit(ctx, instanceOf(t, testGame(), 2), nudged, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st.WarmStats().Warm {
+		t.Fatal("refit at thresholds 1e-13 away from the solved ones ran warm")
+	}
+}
+
 func TestSolveStateNilTVRunsWarmUnscreened(t *testing.T) {
 	ctx := context.Background()
 	b := game.Thresholds{2, 2, 2}
